@@ -5,6 +5,9 @@ closure that routes the output gradient back to them.  ``backward`` walks
 the graph once in decreasing construction order, which is a valid
 topological order because an output is always created after its inputs.
 Accumulation order is therefore fixed and bitwise reproducible.
+
+Inside ``no_grad()`` no graph is built at all: every op returns a plain
+leaf, so inference holds no parents, closures or gradient buffers.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _UIDS = itertools.count()
+_grad_enabled = True
 
 
 @contextmanager
@@ -34,6 +38,20 @@ def no_cyclic_gc():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: ops and ``stop_gradient`` return
+    leaves without parents, so ``backward`` on them does nothing.  Nests, and
+    restores the previous mode on exit, including exit by exception."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class ShapeError(ValueError):
@@ -113,8 +131,9 @@ def _lift(x) -> Tensor:
 
 
 def _op(values, parents, backward_fn) -> Tensor:
-    """Build an op output; constant inputs yield a leaf with no provenance."""
-    if any(p.requires_grad for p in parents):
+    """Build an op output; constant inputs, or ``no_grad``, yield a leaf with
+    no provenance."""
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, parents=parents, backward_fn=backward_fn)
     return Tensor(values)
 
@@ -401,8 +420,8 @@ def squared_error(a: Tensor, b: Tensor) -> Tensor:
 
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity forward; contributes exactly zero gradient to ``a``."""
-    parents = (a,) if a.requires_grad else ()
-    return Tensor(a.values.copy(), requires_grad=a.requires_grad, parents=parents, backward_fn=None)
+    keep = _grad_enabled and a.requires_grad
+    return Tensor(a.values.copy(), requires_grad=keep, parents=(a,) if keep else ())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ def named_rng(name: str) -> np.random.Generator:
 
 @dataclass
 class ImageGrid:
-    """An H x W x 3 float pixel grid; values clamped to [0, 1] on build."""
+    """An H x W x 3 float pixel grid; values clamped to [0, 1] on build.
+    Non-finite pixels are rejected: clamping would pass NaN through."""
 
     pixels: np.ndarray
 
@@ -36,6 +37,8 @@ class ImageGrid:
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 3 or px.shape[2] != 3:
             raise ValueError(f"image must be [H x W x 3], got {px.shape}")
+        if not np.isfinite(px).all():
+            raise ValueError(f"image has {int((~np.isfinite(px)).sum())} non-finite pixel values")
         self.pixels = np.clip(px, 0.0, 1.0)
 
     @property

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import Tensor
 from .codec import ImageGrid, decode_tokens
-from .model import (N_SPECIALS, SPECIALS, DuVlgModel, decode_forward, encode,
-                    unified_to_visual, visual_to_unified)
+from .model import (N_SPECIALS, SPECIALS, DecoderCache, DuVlgModel, decode_forward,
+                    decode_forward_batch, encode, encode_batch, unified_to_visual)
 
 _STRATEGIES = ("greedy", "beam", "nucleus", "topk")
 
@@ -55,18 +56,36 @@ def allowed_ids(model: DuVlgModel, modality: str) -> np.ndarray:
     return np.arange(N_SPECIALS + cfg.text_vocab, cfg.head_size)
 
 
-def _step_logprobs(model, enc_states, prefix, candidate_ids, temperature) -> np.ndarray:
-    """Log-probs over candidate_ids, renormalized to that support."""
-    logits = decode_forward(model, np.asarray(prefix, dtype=np.int64), enc_states)
-    row = logits.values[-1][candidate_ids] / temperature
-    row = row - row.max()
-    return row - np.log(np.exp(row).sum())
+def _check_text_len(model: DuVlgModel, cfg: DecodeConfig):
+    """A caption of max_len tokens plus its start token must fit the decoder,
+    so that every caption decoded can also be scored by ``caption_nll``."""
+    if cfg.max_len + 1 > model.cfg.max_dec_len:
+        raise ValueError(f"max_len {cfg.max_len} needs {cfg.max_len + 1} decoder positions; "
+                         f"max decoder length is {model.cfg.max_dec_len}")
+
+
+def _start(model: DuVlgModel, enc_states: Tensor, capacity: int):
+    """Encoder states [L x d] as a batch of one, and an empty cache."""
+    enc = ad.reshape(enc_states, (1,) + enc_states.shape)
+    return enc, np.ones((1, enc_states.shape[0]), dtype=bool), DecoderCache(model, capacity)
+
+
+def _step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids,
+                   temperature) -> np.ndarray:
+    """Feed one token per row through the cached decoder; returns log-probs
+    [rows x len(candidate_ids)], each row renormalized to that support."""
+    step = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+    logits = decode_forward_batch(model, step, enc, enc_valid, cache)
+    rows = logits.values[:, -1, candidate_ids] / temperature
+    rows = rows - rows.max(axis=1, keepdims=True)
+    return rows - np.log(np.exp(rows).sum(axis=1, keepdims=True))
 
 
 def beam_search(model: DuVlgModel, enc_states, cfg: DecodeConfig):
     """Length-normalized beam search; returns (token ids, normalized score).
 
     Returned ids are content tokens (no start/stop).  beam_size=1 is greedy.
+    All live hypotheses advance as one cached batch step.
     """
     eos = SPECIALS.eos if cfg.modality == "text" else SPECIALS.eoi
     bos = SPECIALS.bos if cfg.modality == "text" else SPECIALS.boi
@@ -76,19 +95,23 @@ def beam_search(model: DuVlgModel, enc_states, cfg: DecodeConfig):
     def norm(total, emitted):
         return total / emitted**cfg.length_norm
 
+    enc, enc_valid, cache = _start(model, enc_states, cfg.max_len)
     active = [((), 0.0)]
+    last = [bos]  # each hypothesis's newest token, fed at the next step
     finished = []  # (tokens, normalized score)
-    with ad.no_cyclic_gc():
+    with ad.no_grad():
         for _ in range(cfg.max_len):
+            lp = _step_logprobs(model, enc, enc_valid, cache, last, candidates, cfg.temperature)
             pool = []
-            for tokens, total in active:
-                lp = _step_logprobs(model, enc_states, (bos,) + tokens, candidates,
-                                    cfg.temperature)
-                finished.append((tokens, norm(total + lp[0], len(tokens) + 1)))
+            for row, (tokens, total) in enumerate(active):
+                finished.append((tokens, norm(total + lp[row, 0], len(tokens) + 1)))
                 for j, tid in enumerate(candidates[1:], start=1):
-                    pool.append((tokens + (int(tid),), total + lp[j]))
+                    pool.append((tokens + (int(tid),), total + lp[row, j], row))
             pool.sort(key=lambda e: (-e[1], e[0]))
-            active = pool[:cfg.beam_size]
+            pool = pool[:cfg.beam_size]
+            cache.reorder([row for _, _, row in pool])
+            active = [(tokens, total) for tokens, total, _ in pool]
+            last = [tokens[-1] for tokens, _ in active]
     finished.extend((tokens, norm(total, cfg.max_len)) for tokens, total in active)
 
     finished.sort(key=lambda e: (-e[1], e[0]))
@@ -132,16 +155,16 @@ def _pick(lp: np.ndarray, cfg: DecodeConfig, rng) -> int:
 
 def _sample_text(model, enc_states, cfg: DecodeConfig, rng) -> np.ndarray:
     candidates = np.concatenate(([SPECIALS.eos], allowed_ids(model, "text")))
+    enc, enc_valid, cache = _start(model, enc_states, cfg.max_len)
     tokens = []
-    prefix = [SPECIALS.bos]
-    with ad.no_cyclic_gc():
+    last = SPECIALS.bos
+    with ad.no_grad():
         for _ in range(cfg.max_len):
-            lp = _step_logprobs(model, enc_states, prefix, candidates, cfg.temperature)
-            chosen = int(candidates[_pick(lp, cfg, rng)])
-            if chosen == SPECIALS.eos:
+            lp = _step_logprobs(model, enc, enc_valid, cache, [last], candidates, cfg.temperature)
+            last = int(candidates[_pick(lp[0], cfg, rng)])
+            if last == SPECIALS.eos:
                 break
-            tokens.append(chosen)
-            prefix.append(chosen)
+            tokens.append(last)
     return np.asarray(tokens, dtype=np.int64)
 
 
@@ -157,21 +180,23 @@ def generate_image_tokens(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
                           n_patches: int) -> list[np.ndarray]:
     """n_samples bracketed unified sequences [BOI] v1..vn [EOI]; the head is
     restricted to visual tokens for exactly n_patches steps, then [EOI] is
-    forced.  Each sample uses its own spawned rng stream."""
+    forced.  All samples advance as one cached batch step; each sample draws
+    from its own spawned rng stream."""
     if cfg.strategy == "beam":
         raise ValueError("image sampling uses greedy/nucleus/topk, not beam")
-    enc = encode(model, text_ids=caption)
+    if n_patches > model.cfg.max_patches:
+        raise ValueError(f"{n_patches} patches exceeds max_patches {model.cfg.max_patches}")
     visual = allowed_ids(model, "image")
-    sequences = []
-    with ad.no_cyclic_gc():
-        for child in rng.spawn(cfg.n_samples):
-            prefix = [SPECIALS.boi]
-            for _ in range(n_patches):
-                lp = _step_logprobs(model, enc, prefix, visual, cfg.temperature)
-                prefix.append(int(visual[_pick(lp, cfg, child)]))
-            prefix.append(SPECIALS.eoi)
-            sequences.append(np.asarray(prefix, dtype=np.int64))
-    return sequences
+    children = rng.spawn(cfg.n_samples)
+    columns = [np.full(cfg.n_samples, SPECIALS.boi)]
+    with ad.no_grad():
+        enc, enc_valid, cache = _start(model, encode(model, text_ids=caption), n_patches)
+        for _ in range(n_patches):
+            lp = _step_logprobs(model, enc, enc_valid, cache, columns[-1], visual,
+                                cfg.temperature)
+            columns.append(visual[[_pick(row, cfg, child) for row, child in zip(lp, children)]])
+    columns.append(np.full(cfg.n_samples, SPECIALS.eoi))
+    return list(np.stack(columns, axis=1).astype(np.int64))
 
 
 def generate_image(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
@@ -182,33 +207,56 @@ def generate_image(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
             for seq in sequences]
 
 
+def _caption_targets(caption) -> np.ndarray:
+    return np.concatenate(([SPECIALS.bos], np.asarray(caption, dtype=np.int64), [SPECIALS.eos]))
+
+
 def caption_nll(model: DuVlgModel, image: ImageGrid, caption) -> float:
     """Teacher-forced NLL of a caption given only the image."""
-    feats = model.featurizer.featurize_image(image)
-    enc = encode(model, patches=feats)
-    tgt = np.concatenate(([SPECIALS.bos], np.asarray(caption, dtype=np.int64), [SPECIALS.eos]))
-    logits = decode_forward(model, tgt[:-1], enc)
-    return ad.cross_entropy_logits(logits, tgt[1:]).item()
+    tgt = _caption_targets(caption)
+    with ad.no_grad():
+        enc = encode(model, patches=model.featurizer.featurize_image(image))
+        logits = decode_forward(model, tgt[:-1], enc)
+        return ad.cross_entropy_logits(logits, tgt[1:]).item()
+
+
+# Candidates per teacher-forced rerank pass.  A pass holds [B x h x L x L]
+# encoder attention scores, so all 16 candidates at once would dominate the
+# process's peak memory; 4 keep it below that of sampling.
+_RERANK_BATCH = 4
 
 
 def rerank(model: DuVlgModel, caption, images) -> tuple[int, list[float]]:
     """Pick the candidate whose caption NLL is lowest (cycle consistency).
-    Returns (index of best image, per-image scores); ties keep the first."""
+    Returns (index of best image, per-image scores); ties keep the first.
+    Candidates are scored in teacher-forced batches of _RERANK_BATCH."""
     if not images:
         raise ValueError("rerank needs at least one candidate image")
-    scores = [-caption_nll(model, img, caption) for img in images]
+    tgt = _caption_targets(caption)
+    scores = []
+    with ad.no_grad():
+        for lo in range(0, len(images), _RERANK_BATCH):
+            feats = [model.featurizer.featurize_image(img) for img in images[lo:lo + _RERANK_BATCH]]
+            n = len(feats)
+            enc, enc_valid = encode_batch(model, [None] * n, feats, [None] * n)
+            logits = decode_forward_batch(model, np.tile(tgt[:-1], (n, 1)), enc, enc_valid)
+            scores += [-ad.cross_entropy_logits(Tensor(row), tgt[1:]).item()
+                       for row in logits.values]
+    if not np.isfinite(scores).all():
+        raise ValueError(f"rerank scores are not all finite: {scores}")
     return int(np.argmax(scores)), scores
 
 
 def caption_image(model: DuVlgModel, image: ImageGrid, cfg: DecodeConfig,
                   rng=None) -> np.ndarray:
     """Decode a caption for an image with the configured strategy."""
-    feats = model.featurizer.featurize_image(image)
-    enc = encode(model, patches=feats)
+    _check_text_len(model, cfg)
+    if cfg.strategy not in ("beam", "greedy") and rng is None:
+        raise ValueError("sampling strategies need an rng")
+    with ad.no_grad():
+        enc = encode(model, patches=model.featurizer.featurize_image(image))
     if cfg.strategy in ("beam", "greedy"):
         size = 1 if cfg.strategy == "greedy" else cfg.beam_size
         tokens, _ = beam_search(model, enc, replace(cfg, strategy="beam", beam_size=size, modality="text"))
         return tokens
-    if rng is None:
-        raise ValueError("sampling strategies need an rng")
     return _sample_text(model, enc, cfg, rng)

@@ -9,6 +9,16 @@ the generation head.
 Unified id layout: specials occupy [0, S), text words [S, S + V_t),
 visual tokens [S + V_t, S + V_t + K).
 
+There is one forward implementation, over batches: ``encode_batch`` and
+``decode_forward_batch``; ``encode`` and ``decode_forward`` are its size-1
+views.  Decoding steps the same decoder incrementally through a
+``DecoderCache``: per decoder layer, self-attention keys and values live in
+preallocated float64 buffers [B x h x capacity x d/h] whose first ``length``
+positions are filled, one position per row per step, and cross-attention
+keys and values [B_enc x h x L x d/h] are projected once from the encoder
+states.  ``DecoderCache.reorder`` permutes the self-attention rows when beam
+search keeps a hypothesis.
+
 Parameter count (d = d_model, F = d_ff, S = 8 specials, D = max decoder
 length = max(max_text_len, max_patches) + 2):
 
@@ -279,50 +289,93 @@ def _dropout(model: DuVlgModel, x: Tensor) -> Tensor:
     return ad.mul(x, Tensor(keep))
 
 
-def _attend(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor,
-            causal: bool) -> Tensor:
+def _split_heads(model: DuVlgModel, x: Tensor) -> Tensor:
+    """[B x T x d] -> [B x h x T x d/h]."""
     h = model.cfg.n_heads
-    d = model.cfg.d_model
-    dh = d // h
-    tq = x_q.shape[0]
-    tk = x_kv.shape[0]
+    b, t, d = x.shape
+    return ad.swapaxes(ad.reshape(x, (b, t, h, d // h)), 1, 2)
 
-    q = ad.add(ad.matmul(x_q, attn.wq), attn.bq)
+
+def _kv_heads(model: DuVlgModel, attn: _Attention, x_kv: Tensor) -> tuple[Tensor, Tensor]:
     k = ad.add(ad.matmul(x_kv, attn.wk), attn.bk)
     v = ad.add(ad.matmul(x_kv, attn.wv), attn.bv)
-    qh = ad.swapaxes(ad.reshape(q, (tq, h, dh)), 0, 1)
-    kh = ad.swapaxes(ad.reshape(k, (tk, h, dh)), 0, 1)
-    vh = ad.swapaxes(ad.reshape(v, (tk, h, dh)), 0, 1)
+    return _split_heads(model, k), _split_heads(model, v)
 
-    scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, 1, 2)), Tensor(1.0 / np.sqrt(dh)))
-    if causal:
-        mask = np.triu(np.full((tq, tk), -np.inf), k=1)
-        scores = ad.add(scores, Tensor(mask))
-    weights = ad.softmax_rows(scores)
-    gathered = ad.reshape(ad.swapaxes(ad.matmul(weights, vh), 0, 1), (tq, d))
-    return ad.add(ad.matmul(gathered, attn.wo), attn.bo)
+
+class _KV:
+    """Head-split keys and values [B x h x T x dh] of one attention block,
+    kept across incremental decoding steps.  With a capacity, each step's
+    keys are appended into preallocated buffers (self-attention); without
+    one, the keys of the first step are reused by every later step
+    (cross-attention over fixed encoder states)."""
+
+    def __init__(self, capacity: int | None = None):
+        self.capacity = capacity
+        self.k = self.v = None
+        self.length = 0
+
+    def keys_values(self, model: DuVlgModel, attn: _Attention, x_kv: Tensor):
+        if self.capacity is None:
+            if self.k is None:
+                self.k, self.v = _kv_heads(model, attn, x_kv)
+            return self.k, self.v
+        kh, vh = _kv_heads(model, attn, x_kv)
+        b, h, t, dh = kh.shape
+        end = self.length + t
+        if end > self.capacity:
+            raise ValueError(f"{end} positions exceeds decoder cache capacity {self.capacity}")
+        if self.k is None:
+            self.k = np.empty((b, h, self.capacity, dh))
+            self.v = np.empty((b, h, self.capacity, dh))
+        self.k[:, :, self.length:end] = kh.values
+        self.v[:, :, self.length:end] = vh.values
+        self.length = end
+        return Tensor(self.k[:, :, :end]), Tensor(self.v[:, :, :end])
+
+
+class DecoderCache:
+    """Incremental state of ``decode_forward_batch``: one growing
+    self-attention ``_KV`` and one fixed cross-attention ``_KV`` per decoder
+    layer.  Cross keys keep the batch size of the encoder states, so one
+    encoding of [1 x L x d] serves every row."""
+
+    def __init__(self, model: DuVlgModel, capacity: int):
+        if capacity > model.cfg.max_dec_len:
+            raise ValueError(f"{capacity} decoder positions exceeds max decoder length "
+                             f"{model.cfg.max_dec_len}")
+        self.layers = [(_KV(capacity), _KV()) for _ in model.dec_layers]
+
+    @property
+    def length(self) -> int:
+        """Positions consumed so far (the next position's index)."""
+        return self.layers[0][0].length
+
+    def reorder(self, rows):
+        """Make row i continue the history of old row ``rows[i]`` (beam
+        search keeps surviving hypotheses this way)."""
+        for self_kv, _ in self.layers:
+            if self_kv.k is not None:
+                self_kv.k, self_kv.v = self_kv.k[rows], self_kv.v[rows]
 
 
 def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor,
-                  causal: bool, key_add: np.ndarray | None) -> Tensor:
+                  causal: bool, key_add: np.ndarray | None, cache: _KV | None = None) -> Tensor:
     """Multi-head attention over [B x T x d] stacks.  ``key_add`` is an
-    additive [B x 1 x 1 x Tk] mask (0 for real keys, -inf for padding)."""
-    h = model.cfg.n_heads
+    additive [B x 1 x 1 x Tk] mask (0 for real keys, -inf for padding).
+    With a ``cache``, the keys come from it (see ``_KV``) and the queries are
+    the last positions of the key sequence."""
     d = model.cfg.d_model
-    dh = d // h
+    dh = d // model.cfg.n_heads
     b, tq, _ = x_q.shape
-    tk = x_kv.shape[1]
 
     q = ad.add(ad.matmul(x_q, attn.wq), attn.bq)
-    k = ad.add(ad.matmul(x_kv, attn.wk), attn.bk)
-    v = ad.add(ad.matmul(x_kv, attn.wv), attn.bv)
-    qh = ad.swapaxes(ad.reshape(q, (b, tq, h, dh)), 1, 2)
-    kh = ad.swapaxes(ad.reshape(k, (b, tk, h, dh)), 1, 2)
-    vh = ad.swapaxes(ad.reshape(v, (b, tk, h, dh)), 1, 2)
+    kh, vh = _kv_heads(model, attn, x_kv) if cache is None else cache.keys_values(model, attn, x_kv)
+    qh = _split_heads(model, q)
+    tk = kh.shape[2]
 
     scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, 2, 3)), Tensor(1.0 / np.sqrt(dh)))
     if causal:
-        scores = ad.add(scores, Tensor(np.triu(np.full((tq, tk), -np.inf), k=1)))
+        scores = ad.add(scores, Tensor(np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)))
     if key_add is not None:
         scores = ad.add(scores, Tensor(key_add))
     weights = ad.softmax_rows(scores)
@@ -336,56 +389,6 @@ def _ffn(x: Tensor, w1, b1, w2, b2) -> Tensor:
 
 def _special_row(model: DuVlgModel, token: int) -> Tensor:
     return ad.gather_rows(model.text_embed, np.array([token]))
-
-
-def encode(model: DuVlgModel, text_ids=None, patches: PatchSequence | None = None,
-           patch_mask: PatchMask | None = None) -> Tensor:
-    """Concatenated image-then-text encoding; missing modalities become a
-    single placeholder embedding; masked patches use the trainable [MASK]
-    patch embedding."""
-    cfg = model.cfg
-    if text_ids is None and patches is None:
-        raise ValueError("encode needs at least one modality")
-
-    seg_img = ad.narrow_rows(model.seg_embed, 0, 1)
-    seg_text = ad.narrow_rows(model.seg_embed, 1, 2)
-
-    if patches is not None:
-        n = patches.n_patches
-        if n > cfg.max_patches:
-            raise ValueError(f"{n} patches exceeds max_patches {cfg.max_patches}")
-        x = ad.matmul(patches.features, model.patch_proj)
-        if patch_mask is not None:
-            m = patch_mask.flat.astype(np.float64).reshape(n, 1)
-            keep = Tensor(1.0 - m)
-            drop = Tensor(m)
-            mask_row = ad.reshape(model.mask_patch, (1, cfg.d_model))
-            x = ad.add(ad.mul(x, keep), ad.mul(mask_row, drop))
-        img_seg = ad.add(ad.add(x, ad.narrow_rows(model.enc_img_pos, 0, n)), seg_img)
-    else:
-        pad = _special_row(model, SPECIALS.imagepad)
-        img_seg = ad.add(ad.add(pad, ad.narrow_rows(model.enc_img_pos, 0, 1)), seg_img)
-
-    if text_ids is not None:
-        ids = np.asarray(text_ids, dtype=np.int64)
-        if ids.size == 0:
-            raise ValueError("empty text; pass None for a missing modality")
-        if ids.size > cfg.max_text_len:
-            raise ValueError(f"{ids.size} text tokens exceeds max_text_len {cfg.max_text_len}")
-        emb = ad.gather_rows(model.text_embed, ids)
-        text_seg = ad.add(ad.add(emb, ad.narrow_rows(model.enc_text_pos, 0, ids.size)), seg_text)
-    else:
-        pad = _special_row(model, SPECIALS.textpad)
-        text_seg = ad.add(ad.add(pad, ad.narrow_rows(model.enc_text_pos, 0, 1)), seg_text)
-
-    x = ad.concat([img_seg, text_seg], axis=0)
-    for layer in model.enc_layers:
-        normed = ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
-        a = _attend(model, layer.attn, normed, normed, causal=False)
-        x = ad.add(x, _dropout(model, a))
-        f = _ffn(ad.layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
-        x = ad.add(x, _dropout(model, f))
-    return ad.layer_norm(x, model.enc_final_g, model.enc_final_b)
 
 
 def pad_ragged(seqs, pad_id: int):
@@ -416,8 +419,11 @@ def _broadcast_row(row: Tensor, b: int, d: int) -> Tensor:
 def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
                  patch_masks: list) -> tuple[Tensor, np.ndarray]:
     """Batched encoder over homogeneous examples (a modality is present for
-    all examples or none).  Returns states [B x L x d] and a [B x L] mask of
-    real (non-padding) positions; padding is excluded from attention.
+    all examples or none).  Each example is its image segment, then its text
+    segment; a missing modality becomes a single placeholder embedding, and
+    masked patches use the trainable [MASK] patch embedding.  Returns states
+    [B x L x d] and a [B x L] mask of real (non-padding) positions; padding
+    is excluded from attention.
     """
     cfg = model.cfg
     d = cfg.d_model
@@ -482,33 +488,49 @@ def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
     return ad.layer_norm(x, model.enc_final_g, model.enc_final_b), valid
 
 
+def encode(model: DuVlgModel, text_ids=None, patches: PatchSequence | None = None,
+           patch_mask: PatchMask | None = None) -> Tensor:
+    """``encode_batch`` of one example: states [L x d], image then text."""
+    states, _ = encode_batch(model, [text_ids], [patches], [patch_mask])
+    return ad.reshape(states, states.shape[1:])
+
+
 def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Tensor,
-                         enc_valid: np.ndarray) -> Tensor:
-    """Teacher-forced decoder over padded [B x T] unified targets.
+                         enc_valid: np.ndarray, cache: DecoderCache | None = None) -> Tensor:
+    """Teacher-forced decoder over padded [B x T] unified targets; returns
+    logits [B x T x (S + V_t + K)].  The text block of the head reuses
+    text_embed storage, the visual block reuses visual_embed_dec.
 
     Padding must be a suffix (it never precedes real tokens), so causal
     masking keeps real positions blind to it; padded rows produce logits
     that callers must ignore.
+
+    With a ``cache``, ``targets`` continue the sequences the cache has
+    consumed (positions ``cache.length`` onward) and only they are computed;
+    the encoder states are projected on the first call only.
     """
     cfg = model.cfg
     b, t = targets.shape
+    start = 0 if cache is None else cache.length
     if t == 0:
         raise ValueError("decode_forward needs a non-empty target prefix")
     if targets.min() < 0 or targets.max() >= cfg.head_size:
         raise ValueError(f"target id out of range for unified vocab {cfg.head_size}")
-    if t > cfg.max_dec_len:
-        raise ValueError(f"{t} targets exceeds max decoder length {cfg.max_dec_len}")
+    if start + t > cfg.max_dec_len:
+        raise ValueError(f"{start + t} targets exceeds max decoder length {cfg.max_dec_len}")
 
     d = cfg.d_model
     emb = ad.reshape(embed_unified(model, targets.reshape(-1)), (b, t, d))
-    x = ad.add(emb, ad.narrow_rows(model.dec_pos, 0, t))
+    x = ad.add(emb, ad.narrow_rows(model.dec_pos, start, start + t))
     key_add = _key_add(enc_valid)
-    for layer in model.dec_layers:
+    for i, layer in enumerate(model.dec_layers):
+        self_kv, cross_kv = (None, None) if cache is None else cache.layers[i]
         normed = ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
-        a = _attend_batch(model, layer.self_attn, normed, normed, causal=True, key_add=None)
+        a = _attend_batch(model, layer.self_attn, normed, normed, causal=True, key_add=None,
+                          cache=self_kv)
         x = ad.add(x, _dropout(model, a))
         c = _attend_batch(model, layer.cross_attn, ad.layer_norm(x, layer.lnx_g, layer.lnx_b),
-                          enc_states, causal=False, key_add=key_add)
+                          enc_states, causal=False, key_add=key_add, cache=cross_kv)
         x = ad.add(x, _dropout(model, c))
         f = _ffn(ad.layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
         x = ad.add(x, _dropout(model, f))
@@ -531,30 +553,9 @@ def embed_unified(model: DuVlgModel, ids: np.ndarray) -> Tensor:
 
 
 def decode_forward(model: DuVlgModel, targets, enc_states: Tensor) -> Tensor:
-    """Teacher-forced decoder: causal self-attention plus cross-attention.
-
-    Returns logits [T x (S + V_t + K)]; the text block of the head reuses
-    text_embed storage, the visual block reuses visual_embed_dec.
-    """
-    cfg = model.cfg
-    ids = np.asarray(targets, dtype=np.int64)
-    if ids.size == 0:
-        raise ValueError("decode_forward needs a non-empty target prefix")
-    if ids.min() < 0 or ids.max() >= cfg.head_size:
-        raise ValueError(f"target id out of range for unified vocab {cfg.head_size}")
-    if ids.size > cfg.max_dec_len:
-        raise ValueError(f"{ids.size} targets exceeds max decoder length {cfg.max_dec_len}")
-
-    x = ad.add(embed_unified(model, ids), ad.narrow_rows(model.dec_pos, 0, ids.size))
-    for layer in model.dec_layers:
-        normed = ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
-        a = _attend(model, layer.self_attn, normed, normed, causal=True)
-        x = ad.add(x, _dropout(model, a))
-        c = _attend(model, layer.cross_attn, ad.layer_norm(x, layer.lnx_g, layer.lnx_b),
-                    enc_states, causal=False)
-        x = ad.add(x, _dropout(model, c))
-        f = _ffn(ad.layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
-        x = ad.add(x, _dropout(model, f))
-    h = ad.layer_norm(x, model.dec_final_g, model.dec_final_b)
-    return ad.concat([ad.matmul(h, ad.transpose(model.text_embed)),
-                      ad.matmul(h, ad.transpose(model.visual_embed_dec))], axis=1)
+    """``decode_forward_batch`` of one example: targets [T], encoder states
+    [L x d]; returns logits [T x (S + V_t + K)]."""
+    ids = np.asarray(targets, dtype=np.int64).reshape(1, -1)
+    logits = decode_forward_batch(model, ids, ad.reshape(enc_states, (1,) + enc_states.shape),
+                                  np.ones((1, enc_states.shape[0]), dtype=bool))
+    return ad.reshape(logits, logits.shape[1:])

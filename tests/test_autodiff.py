@@ -120,6 +120,35 @@ def test_stop_gradient_blocks_and_passes():
     assert np.array_equal(y.grad, x.values)
 
 
+def test_no_grad_builds_no_graph():
+    x = Tensor([1.5, -2.0, 0.5], requires_grad=True)
+    w = Tensor(np.eye(3), requires_grad=True)
+    with ad.no_grad():
+        outs = [ad.add(x, x), ad.mul(x, x), ad.tanh(x), ad.stop_gradient(x),
+                ad.matmul(ad.reshape(x, (1, 3)), w), ad.softmax_rows(x)]
+        loss = ad.sum_all(ad.mul(x, x))
+    for out in outs + [loss]:
+        assert out.parents == () and not out.requires_grad
+    ad.backward(loss)  # a leaf: nothing to do
+    assert x.grad is None and w.grad is None
+    assert np.array_equal(outs[1].values, x.values * x.values)
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert ad.mul(x, x).parents == ()  # inner exit keeps the outer mode
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    out = ad.mul(x, x)
+    assert out.requires_grad and out.parents == (x, x)
+    ad.backward(out.sum())
+    assert np.array_equal(x.grad, 2 * x.values)
+
+
 def test_backward_sum_gives_ones():
     x = Tensor([4.0, 5.0, 6.0], requires_grad=True)
     ad.backward(x.sum())

@@ -160,6 +160,19 @@ def test_caption_command_runs(tmp_path, data_file, capsys):
     assert set(last.split()) <= known
 
 
+def test_caption_rejects_nan_image(tmp_path, data_file, capsys):
+    base = tmp_path / "base.ckpt"
+    cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "0",
+                  "--out", str(base)] + SMALL)
+    image = tmp_path / "nan.duvlg"
+    image.write_text("DUVLG-IMG v1 16 16\n" + " ".join(["nan"] * (16 * 16 * 3)) + "\n")
+    capsys.readouterr()
+    rc = cli_dispatch(["caption", "--ckpt", str(base), "--image", str(image)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+
+
 def test_config_with_checkpoint_command_rejected(tmp_path, data_file, capsys):
     base = tmp_path / "base.ckpt"
     cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1",

@@ -146,6 +146,14 @@ def test_image_file_roundtrip(tmp_path, cb):
     assert open(path).readline().startswith("DUVLG-IMG v1 8 8")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_image_grid_rejects_non_finite(bad):
+    px = np.full((4, 4, 3), 0.5)
+    px[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ImageGrid(px)
+
+
 def test_image_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.duvlg"
     path.write_text("NOPE v9 2 2\n0 0 0\n")

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,13 +25,22 @@ def _enc(model, words=(0, 1)):
     return mdl.encode(model, text_ids=ids)
 
 
+def _full_logprobs(model, enc, prefix, candidates, temperature=1.0):
+    """Full-recompute oracle for one decode step: run the whole prefix
+    through the single-example decoder and renormalize its last row."""
+    logits = mdl.decode_forward(model, np.asarray(prefix, dtype=np.int64), enc)
+    row = logits.values[-1][candidates] / temperature
+    row = row - row.max()
+    return row - np.log(np.exp(row).sum())
+
+
 def _exhaustive_best(model, enc, cfg):
     """Enumerate every candidate sequence and score it like the search does."""
     words = list(dec.allowed_ids(model, "text"))
     candidates = np.concatenate(([SPECIALS.eos], words))
 
     def logp(prefix):
-        return dec._step_logprobs(model, enc, prefix, candidates, cfg.temperature)
+        return _full_logprobs(model, enc, prefix, candidates, cfg.temperature)
 
     best = None
     for length in range(cfg.max_len + 1):
@@ -60,7 +70,7 @@ def test_beam_one_equals_greedy():
     candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
     out, prefix = [], [SPECIALS.bos]
     for _ in range(5):
-        lp = dec._step_logprobs(model, enc, prefix, candidates, 1.0)
+        lp = _full_logprobs(model, enc, prefix, candidates)
         pick = int(candidates[int(np.argmax(lp))])
         if pick == SPECIALS.eos:
             break
@@ -84,8 +94,8 @@ def test_beam_uniform_ties_lexicographic(monkeypatch):
     model = _tiny(1)
     enc = _enc(model)
 
-    def uniform(model_, enc_, prefix, candidates, temperature):
-        return np.full(len(candidates), -np.log(len(candidates)))
+    def uniform(model_, enc_, enc_valid, cache, tokens, candidates, temperature):
+        return np.full((len(tokens), len(candidates)), -np.log(len(candidates)))
 
     monkeypatch.setattr(dec, "_step_logprobs", uniform)
     tokens, _ = beam_search(model, enc, DecodeConfig(beam_size=8, max_len=3))
@@ -209,6 +219,98 @@ def test_generate_image_deterministic(gen_world):
         assert np.array_equal(ia.pixels, ib.pixels)
 
 
+def _oracle_image_tokens(model, caption, cfg, rng, n_patches):
+    """Per-sample full-recompute sampler with the same pick rule and streams."""
+    enc = mdl.encode(model, text_ids=caption)
+    visual = dec.allowed_ids(model, "image")
+    out = []
+    for child in rng.spawn(cfg.n_samples):
+        prefix = [SPECIALS.boi]
+        for _ in range(n_patches):
+            lp = _full_logprobs(model, enc, prefix, visual, cfg.temperature)
+            prefix.append(int(visual[dec._pick(lp, cfg, child)]))
+        out.append(prefix + [SPECIALS.eoi])
+    return out
+
+
+@pytest.mark.parametrize("strategy,seed", [("nucleus", 0), ("nucleus", 1), ("topk", 2),
+                                           ("topk", 3)])
+def test_generate_image_tokens_match_full_recompute(gen_world, strategy, seed):
+    model, vocab, examples = gen_world
+    cfg = DecodeConfig(strategy=strategy, n_samples=4, top_p=0.8, k=5, temperature=0.7)
+    caption = examples[seed].caption
+    seqs = dec.generate_image_tokens(model, caption, cfg, np.random.default_rng(seed), 16)
+    ref = _oracle_image_tokens(model, caption, cfg, np.random.default_rng(seed), 16)
+    assert [s.tolist() for s in seqs] == ref
+
+
+def test_sample_text_matches_full_recompute(gen_world):
+    model, vocab, examples = gen_world
+    cfg = DecodeConfig(strategy="nucleus", max_len=8, top_p=0.95, temperature=2.0)
+    enc = mdl.encode(model, patches=model.featurizer.featurize_image(examples[1].image))
+    candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
+    for seed in range(3):
+        got = dec.caption_image(model, examples[1].image, cfg, np.random.default_rng(seed))
+        rng, prefix = np.random.default_rng(seed), [SPECIALS.bos]
+        for _ in range(cfg.max_len):
+            lp = _full_logprobs(model, enc, prefix, candidates, cfg.temperature)
+            pick = int(candidates[dec._pick(lp, cfg, rng)])
+            if pick == SPECIALS.eos:
+                break
+            prefix.append(pick)
+        assert got.tolist() == prefix[1:]
+
+
+def _no_encoding(*_args, **_kwargs):
+    raise AssertionError("length checks must run before any encoding")
+
+
+def test_generate_image_checks_patch_count_first(gen_world, monkeypatch):
+    model, vocab, examples = gen_world
+    monkeypatch.setattr(dec, "encode", _no_encoding)
+    with pytest.raises(ValueError, match="17 patches exceeds max_patches 16"):
+        dec.generate_image_tokens(model, examples[0].caption,
+                                  DecodeConfig(strategy="nucleus", n_samples=2),
+                                  np.random.default_rng(0), 17)
+
+
+@pytest.mark.parametrize("strategy", ["beam", "greedy", "nucleus", "topk"])
+def test_text_decoders_check_length_first(gen_world, monkeypatch, strategy):
+    model, vocab, examples = gen_world
+    enc = mdl.encode(model, text_ids=examples[0].caption)
+    cfg = DecodeConfig(strategy=strategy, max_len=model.cfg.max_dec_len)
+    monkeypatch.setattr(dec, "encode", _no_encoding)
+    with pytest.raises(ValueError, match=f"max decoder length is {model.cfg.max_dec_len}"):
+        dec.caption_image(model, examples[0].image, cfg, np.random.default_rng(0))
+    # called directly, the decoders still refuse a cache larger than the decoder
+    over = replace(cfg, max_len=model.cfg.max_dec_len + 1)
+    with pytest.raises(ValueError, match=f"exceeds max decoder length {model.cfg.max_dec_len}"):
+        if strategy == "beam":
+            beam_search(model, enc, over)
+        else:
+            dec._sample_text(model, enc, over, np.random.default_rng(0))
+
+
+def test_decoding_leaves_gradients_untouched(gen_world):
+    model, vocab, examples = gen_world
+    sentinel = {name: np.full(p.shape, 7.0) for name, p in model.named_parameters()}
+    for name, p in model.named_parameters():
+        p.grad = sentinel[name]
+    try:
+        caption = examples[0].caption
+        dec.caption_image(model, examples[0].image, DecodeConfig(beam_size=3, max_len=5))
+        dec.caption_image(model, examples[0].image, DecodeConfig(strategy="topk", max_len=5),
+                          np.random.default_rng(0))
+        images = dec.generate_image(model, caption, DecodeConfig(strategy="nucleus", n_samples=2),
+                                    np.random.default_rng(0), (4, 4))
+        dec.rerank(model, caption, images)
+        dec.caption_nll(model, images[0], caption)
+        for name, p in model.named_parameters():
+            assert p.grad is sentinel[name] and (p.grad == 7.0).all(), name
+    finally:
+        model.zero_grad()
+
+
 def test_generate_image_rejects_beam(gen_world):
     model, vocab, examples = gen_world
     with pytest.raises(ValueError):
@@ -228,12 +330,23 @@ def test_rerank_single_and_ties(gen_world):
 
 
 def test_rerank_is_argmax(gen_world):
+    # the batched scores equal per-candidate teacher forcing, across batches
     model, vocab, examples = gen_world
-    images = [ex.image for ex in examples]
+    images = [ex.image for ex in examples] * 2
+    assert len(images) > dec._RERANK_BATCH
     caption = examples[0].caption
     idx, scores = dec.rerank(model, caption, images)
     nlls = [dec.caption_nll(model, img, caption) for img in images]
+    assert np.abs(np.array(scores) + np.array(nlls)).max() <= 1e-12
     assert nlls[idx] <= min(nlls) + 1e-12
+
+
+def test_rerank_rejects_non_finite_scores(gen_world):
+    model, vocab, examples = gen_world
+    broken = mdl.init_model(model.cfg, 0, featurizer=model.featurizer, codebook=model.codebook)
+    broken.patch_proj.values[:] = np.nan
+    with pytest.raises(ValueError, match="not all finite"):
+        dec.rerank(broken, examples[0].caption, [examples[0].image, examples[1].image])
 
 
 def test_rerank_empty_errors(gen_world):

@@ -81,6 +81,60 @@ def test_decode_single_bos_shape():
     assert logits.shape == (1, TINY.head_size)
 
 
+def _step_against_full_recompute(model, enc, seqs, cache, start, stop, tol=1e-12):
+    """Feed seqs[:, start:stop] one column per cached step; each step's
+    logits must match the single-example full-recompute decoder."""
+    enc_b = ad.reshape(enc, (1,) + enc.shape)
+    valid = np.ones((1, enc.shape[0]), dtype=bool)
+    for t in range(start, stop):
+        step = m.decode_forward_batch(model, seqs[:, t:t + 1], enc_b, valid, cache).values
+        assert step.shape == (len(seqs), 1, model.cfg.head_size)
+        for row, seq in zip(step, seqs):
+            full = m.decode_forward(model, seq[:t + 1], enc).values[-1]
+            assert np.abs(row[0] - full).max() <= tol, t
+
+
+def test_cached_step_matches_full_recompute_text():
+    model = _tiny_model(3)
+    enc = m.encode(model, text_ids=_word_ids(0, 1, 2))
+    seqs = np.array([[SPECIALS.bos, 8, 9, 10, 11, 8, 12, 13],
+                     [SPECIALS.bos, 13, 12, 9, 8, 10, 11, 9]])
+    cache = m.DecoderCache(model, TINY.max_dec_len)
+    with ad.no_grad():
+        _step_against_full_recompute(model, enc, seqs, cache, 0, seqs.shape[1])
+    assert cache.length == TINY.max_dec_len
+    with pytest.raises(ValueError, match="max decoder length"):
+        m.decode_forward_batch(model, seqs[:, :1], ad.reshape(enc, (1,) + enc.shape),
+                               np.ones((1, enc.shape[0]), dtype=bool), cache)
+
+
+def test_cached_step_matches_full_recompute_image_prefix():
+    cfg = ModelConfig()
+    model = m.init_model(cfg, 1)
+    enc = m.encode(model, text_ids=_word_ids(0, 4, 2, 9))
+    rng = np.random.default_rng(0)
+    visual = m.visual_to_unified(rng.integers(0, cfg.visual_vocab, (2, cfg.max_patches)), cfg)
+    seqs = np.concatenate([np.full((2, 1), SPECIALS.boi), visual], axis=1)  # 65 positions
+    cache = m.DecoderCache(model, seqs.shape[1])
+    with ad.no_grad():
+        _step_against_full_recompute(model, enc, seqs, cache, 0, seqs.shape[1])
+
+
+def test_cached_step_after_reorder_matches_full_recompute():
+    model = _tiny_model(4)
+    enc = m.encode(model, text_ids=_word_ids(3, 1))
+    first = np.array([[SPECIALS.bos, 8, 9, 10],
+                      [SPECIALS.bos, 11, 12, 13],
+                      [SPECIALS.bos, 13, 8, 8]])
+    cache = m.DecoderCache(model, 7)
+    with ad.no_grad():
+        _step_against_full_recompute(model, enc, first, cache, 0, 4)
+        rows = [2, 0, 0]  # row 1 dropped, row 0 duplicated, as beam search does
+        cache.reorder(rows)
+        seqs = np.concatenate([first[rows], [[9, 10, 11], [12, 8, 9], [8, 8, 13]]], axis=1)
+        _step_against_full_recompute(model, enc, seqs, cache, 4, 7)
+
+
 def test_decode_rejects_out_of_range_ids():
     model = _tiny_model()
     enc = m.encode(model, text_ids=_word_ids(0))

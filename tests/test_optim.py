@@ -103,17 +103,30 @@ def test_pretrain_zero_steps_no_change(world):
 
 
 def test_pretrain_deterministic_bitwise(world):
+    # also with inference between steps: no_grad decoding must leave the
+    # training graph, gradients and log untouched
+    from duvlg.decoding import DecodeConfig, caption_image
+
     _, _, _, examples = world
 
-    def run():
+    def run(decode_between_steps):
         model = _model(world, seed=3)
-        op.pretrain(examples, model, 5, TrainSettings(batch_size=2),
-                    np.random.default_rng(11))
-        return _snapshot(model)
+        lines = []
 
-    a, b = run(), run()
+        def log(line):
+            lines.append(line)
+            if decode_between_steps:
+                caption_image(model, examples[0].image, DecodeConfig(beam_size=2, max_len=4))
+
+        op.pretrain(examples, model, 5, TrainSettings(batch_size=2),
+                    np.random.default_rng(11), log_fn=log)
+        return _snapshot(model), lines
+
+    (a, log_a), (b, log_b), (c, log_c) = run(False), run(False), run(True)
+    assert log_a == log_b == log_c
     for name in a:
         assert np.array_equal(a[name], b[name]), name
+        assert np.array_equal(a[name], c[name]), name
 
 
 @pytest.mark.parametrize("kind", list(TaskKind))
