@@ -67,10 +67,40 @@ def _rng_state(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
 
 
-def _restore_rng(state: dict) -> np.random.Generator:
+def _restore_rng(path, state: dict) -> np.random.Generator:
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
+    try:
+        rng.bit_generator.state = state
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad rng state: {exc!r}") from None
     return rng
+
+
+_HEADER_KEYS = ("config", "step", "rng_state", "optim", "records")
+_OPTIM_KEYS = ("lr", "beta1", "beta2", "eps", "clip_norm", "step_count")
+
+
+def _is_record(r) -> bool:
+    """A manifest entry [name, shape] with a non-negative integer shape."""
+    return (isinstance(r, list) and len(r) == 2 and isinstance(r[0], str)
+            and isinstance(r[1], list) and all(type(n) is int and n >= 0 for n in r[1]))
+
+
+def _check_header(path, header):
+    """Every field ``load_checkpoint`` reads is present, with the type it needs."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {missing}")
+    optim = header["optim"]
+    if not isinstance(optim, dict) or any(type(optim.get(k)) not in (int, float)
+                                          for k in _OPTIM_KEYS):
+        raise CheckpointError(f"{path}: header 'optim' needs the scalars {list(_OPTIM_KEYS)}")
+    if not isinstance(header["config"], dict) or type(header["step"]) is not int:
+        raise CheckpointError(f"{path}: header 'config' or 'step' has the wrong type")
+    if not isinstance(header["records"], list) or not all(map(_is_record, header["records"])):
+        raise CheckpointError(f"{path}: header 'records' is not a list of [name, shape] pairs")
 
 
 def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
@@ -129,6 +159,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
     off += hlen
 
+    _check_header(path, header)
+    rng = _restore_rng(path, header["rng_state"])
     cfg = config_from_dict(header["config"])
     model, vocab = build_model(cfg)
     optim = OptimState(lr=header["optim"]["lr"], beta1=header["optim"]["beta1"],
@@ -160,5 +192,5 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         optim.m[name] = m
         optim.v[name] = v
 
-    return LoadedCheckpoint(model=model, optim=optim, rng=_restore_rng(header["rng_state"]),
-                            step=int(header["step"]), config=cfg, vocab=vocab)
+    return LoadedCheckpoint(model=model, optim=optim, rng=rng, step=header["step"],
+                            config=cfg, vocab=vocab)

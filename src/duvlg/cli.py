@@ -107,9 +107,8 @@ def _print_config(cfg: RunConfig):
     print("# end config")
 
 
-def _load_dataset(path, cfg, model_or_cb, vocab):
-    cb = model_or_cb if isinstance(model_or_cb, VisualCodebook) else model_or_cb.codebook
-    return dat.load_dataset(path, cb, cfg.grid_dims(), vocab)
+def _load_dataset(path, cfg, model, vocab):
+    return dat.load_dataset(path, model.codebook, cfg.grid_dims(), vocab)
 
 
 def _cmd_gen_data(args, cfg: RunConfig) -> int:
@@ -227,8 +226,8 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     if not subset:
         raise ConfigError(f"split {args.split!r} selected no examples")
     settings = to_train_settings(cfg)
-    caption_nll = op.evaluate_caption_nll(subset, model, settings)
-    image_nll = op.evaluate_image_nll(subset, model, settings)
+    caption_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_CAPTION, settings)
+    image_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_T2I, settings)
     decode_cfg = to_decode_config(cfg, "beam", "text")
     bleus, exact = [], 0
     for ex in subset:
@@ -280,7 +279,7 @@ def cli_dispatch(argv) -> int:
                               "use --set for adjustments, not --config")
         cfg = _resolve_config(args)
         return _COMMANDS[args.command](args, cfg)
-    except (ConfigError, CheckpointError, ValueError, OSError) as exc:
+    except (ConfigError, CheckpointError, ValueError, OSError, op.NonFiniteGradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,6 @@ class RunConfig:
     n_heads: int = 4
     d_ff: int = 128
     max_text_len: int = 24
-    dropout: float = 0.0
     # image codec
     image_size: int = 32
     patch_size: int = 4
@@ -142,10 +141,21 @@ def config_dict(cfg: RunConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
 def config_from_dict(d: dict) -> RunConfig:
+    """RunConfig from a stored dict (a checkpoint header); unknown keys and
+    values of the wrong type are errors."""
+    # older headers carry "dropout", a key that never had an effect
+    d = {k: v for k, v in d.items() if k != "dropout"}
     unknown = set(d) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    for key, value in d.items():
+        kind = _FIELDS[key].type
+        if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"bad value {value!r} for {key} (expected {kind})")
     return RunConfig(**d)
 
 
@@ -161,7 +171,7 @@ def to_model_config(cfg: RunConfig, vocab: TextVocab) -> ModelConfig:
             n_layers_dec=cfg.n_layers_dec, n_heads=cfg.n_heads, d_ff=cfg.d_ff,
             text_vocab=vocab.size, visual_vocab=cfg.codebook_size,
             max_text_len=cfg.max_text_len, max_patches=rows * cols,
-            d_feat=cfg.d_feat, dropout=cfg.dropout,
+            d_feat=cfg.d_feat,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

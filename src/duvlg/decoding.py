@@ -168,14 +168,6 @@ def _sample_text(model, enc_states, cfg: DecodeConfig, rng) -> np.ndarray:
     return np.asarray(tokens, dtype=np.int64)
 
 
-def nucleus_sample(model: DuVlgModel, enc_states, cfg: DecodeConfig, rng) -> np.ndarray:
-    return _sample_text(model, enc_states, replace(cfg, strategy="nucleus"), rng)
-
-
-def top_k_sample(model: DuVlgModel, enc_states, cfg: DecodeConfig, rng) -> np.ndarray:
-    return _sample_text(model, enc_states, replace(cfg, strategy="topk"), rng)
-
-
 def generate_image_tokens(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
                           n_patches: int) -> list[np.ndarray]:
     """n_samples bracketed unified sequences [BOI] v1..vn [EOI]; the head is

@@ -19,7 +19,7 @@ from .codec import ImageGrid, PatchFeaturizer, VisualCodebook
 from .data import TextVocab
 from .model import ModelConfig, N_SPECIALS, init_model
 from .objectives import (CorruptionConfig, TaskKind, build_task_batch, loss_commitment,
-                         TASK_LOSS)
+                         task_nll)
 
 AUDIT_TOLERANCE = 1e-4
 
@@ -54,7 +54,7 @@ def _micro_example(cfg: ModelConfig, patch_size: int, seed: int):
 
 
 def run_gradient_audit(h: float = 1e-5, seed: int = 0, beta: float = 1.0) -> list[LossAudit]:
-    """Audit the four task losses plus beta * commitment on the micro config."""
+    """Audit the task NLL of each kind plus beta * commitment on the micro config."""
     vocab = TextVocab()
     cfg = audit_model_config(vocab.size)
     patch_size = 4
@@ -69,7 +69,7 @@ def run_gradient_audit(h: float = 1e-5, seed: int = 0, beta: float = 1.0) -> lis
         for kind in TaskKind:
             batch = build_task_batch(examples, kind, np.random.default_rng(seed),
                                      model, corruption)
-            loss_fn = lambda: TASK_LOSS[kind](batch, model)  # noqa: E731
+            loss_fn = lambda: task_nll(batch, model)  # noqa: E731
             worst, worst_name = 0.0, ""
             for name, p in model.named_parameters():
                 report = ad.grad_check(loss_fn, p, h)

@@ -33,7 +33,7 @@ length = max(max_text_len, max_patches) + 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class ModelConfig:
     max_text_len: int = 24
     max_patches: int = 64
     d_feat: int = 32
-    dropout: float = 0.0
 
     def __post_init__(self):
         for name in ("d_model", "n_layers_enc", "n_layers_dec", "n_heads", "d_ff",
@@ -84,8 +83,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
 
     @property
     def head_size(self) -> int:
@@ -203,7 +200,6 @@ class DuVlgModel:
     dec_final_b: Tensor
     featurizer: PatchFeaturizer | None = None
     codebook: VisualCodebook | None = None
-    dropout_rng: np.random.Generator | None = field(default=None, repr=False)
 
     def named_parameters(self):
         return self.params.items()
@@ -279,14 +275,6 @@ def init_model(cfg: ModelConfig, seed: int,
 
 # ---------------------------------------------------------------------------
 # forward passes
-
-
-def _dropout(model: DuVlgModel, x: Tensor) -> Tensor:
-    p = model.cfg.dropout
-    if p <= 0.0 or model.dropout_rng is None:
-        return x
-    keep = (model.dropout_rng.random(x.shape) >= p) / (1.0 - p)
-    return ad.mul(x, Tensor(keep))
 
 
 def _split_heads(model: DuVlgModel, x: Tensor) -> Tensor:
@@ -387,10 +375,6 @@ def _ffn(x: Tensor, w1, b1, w2, b2) -> Tensor:
     return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
 
 
-def _special_row(model: DuVlgModel, token: int) -> Tensor:
-    return ad.gather_rows(model.text_embed, np.array([token]))
-
-
 def pad_ragged(seqs, pad_id: int):
     """Stack variable-length id sequences into [B x Lmax] plus a valid mask."""
     lens = [len(s) for s in seqs]
@@ -411,9 +395,11 @@ def _key_add(valid: np.ndarray) -> np.ndarray | None:
     return add[:, None, None, :]
 
 
-def _broadcast_row(row: Tensor, b: int, d: int) -> Tensor:
-    """Tile a [1 x d] embedding row into a [B x 1 x d] stack."""
-    return ad.add(ad.reshape(row, (1, 1, d)), Tensor(np.zeros((b, 1, 1))))
+def _placeholder(model: DuVlgModel, token: int, b: int) -> Tensor:
+    """A special token's embedding row tiled into [B x 1 x d] by a broadcast
+    ``add`` of zeros, whose backward sums the B rows' gradients."""
+    row = ad.gather_rows(model.text_embed, np.array([token]))
+    return ad.add(ad.reshape(row, (1, 1, model.cfg.d_model)), Tensor(np.zeros((b, 1, 1))))
 
 
 def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
@@ -455,8 +441,7 @@ def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
         img_seg = ad.add(ad.add(x, ad.narrow_rows(model.enc_img_pos, 0, n)), seg_img)
         img_valid = np.ones((b, n), dtype=bool)
     else:
-        pad = _special_row(model, SPECIALS.imagepad)
-        img_seg = ad.add(ad.add(_broadcast_row(pad, b, d),
+        img_seg = ad.add(ad.add(_placeholder(model, SPECIALS.imagepad, b),
                                 ad.narrow_rows(model.enc_img_pos, 0, 1)), seg_img)
         img_valid = np.ones((b, 1), dtype=bool)
 
@@ -471,8 +456,7 @@ def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
         emb = ad.reshape(ad.gather_rows(model.text_embed, padded.reshape(-1)), (b, lt, d))
         text_seg = ad.add(ad.add(emb, ad.narrow_rows(model.enc_text_pos, 0, lt)), seg_text)
     else:
-        pad = _special_row(model, SPECIALS.textpad)
-        text_seg = ad.add(ad.add(_broadcast_row(pad, b, d),
+        text_seg = ad.add(ad.add(_placeholder(model, SPECIALS.textpad, b),
                                  ad.narrow_rows(model.enc_text_pos, 0, 1)), seg_text)
         text_valid = np.ones((b, 1), dtype=bool)
 
@@ -482,9 +466,9 @@ def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
     for layer in model.enc_layers:
         normed = ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
         a = _attend_batch(model, layer.attn, normed, normed, causal=False, key_add=key_add)
-        x = ad.add(x, _dropout(model, a))
+        x = ad.add(x, a)
         f = _ffn(ad.layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
-        x = ad.add(x, _dropout(model, f))
+        x = ad.add(x, f)
     return ad.layer_norm(x, model.enc_final_g, model.enc_final_b), valid
 
 
@@ -528,12 +512,12 @@ def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Ten
         normed = ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
         a = _attend_batch(model, layer.self_attn, normed, normed, causal=True, key_add=None,
                           cache=self_kv)
-        x = ad.add(x, _dropout(model, a))
+        x = ad.add(x, a)
         c = _attend_batch(model, layer.cross_attn, ad.layer_norm(x, layer.lnx_g, layer.lnx_b),
                           enc_states, causal=False, key_add=key_add, cache=cross_kv)
-        x = ad.add(x, _dropout(model, c))
+        x = ad.add(x, c)
         f = _ffn(ad.layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
-        x = ad.add(x, _dropout(model, f))
+        x = ad.add(x, f)
     h = ad.layer_norm(x, model.dec_final_g, model.dec_final_b)
     return ad.concat([ad.matmul(h, ad.transpose(model.text_embed)),
                       ad.matmul(h, ad.transpose(model.visual_embed_dec))], axis=2)

@@ -1,4 +1,5 @@
-"""The four dual pre-training losses, the commitment loss, and loss mixing.
+"""One teacher-forced NLL for the four dual pre-training tasks, the
+commitment loss, and loss mixing.
 
 All losses are per-batch means over contributing positions.  The mixing rule
 is  total = text + alpha * image,  image = dae_image + mt_image + beta * com,
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codec import PatchSequence, tokenize_image
-from .corruption import PatchMask, blockwise_mask, span_infill
+from .codec import tokenize_image
+from .corruption import blockwise_mask, span_infill
 from .model import (SPECIALS, DuVlgModel, decode_forward_batch, encode_batch,
                     pad_ragged, visual_to_unified)
 
@@ -111,8 +112,8 @@ def build_task_batch(examples, kind: TaskKind, rng: np.random.Generator,
                      clean_features=clean_feats, clean_visual=clean_vis)
 
 
-def _batch_nll(batch: TaskBatch, model: DuVlgModel) -> Tensor:
-    """Teacher-forced NLL, averaged over all predicted positions in the batch."""
+def task_nll(batch: TaskBatch, model: DuVlgModel) -> Tensor:
+    """Teacher-forced NLL, averaged over all predicted positions: every task's loss."""
     padded, valid = pad_ragged(batch.targets, SPECIALS.pad)
     dec_in = padded[:, :-1]
     tgt_out = padded[:, 1:]
@@ -124,31 +125,6 @@ def _batch_nll(batch: TaskBatch, model: DuVlgModel) -> Tensor:
     return ad.cross_entropy_logits(ad.reshape(logits, (b * t, v)),
                                    tgt_out.reshape(-1),
                                    ignore_mask=~keep.reshape(-1))
-
-
-def _check_kind(batch: TaskBatch, expected: TaskKind):
-    if batch.kind is not expected:
-        raise ValueError(f"batch kind {batch.kind} does not match loss {expected}")
-
-
-def loss_dae_image(batch: TaskBatch, model: DuVlgModel) -> Tensor:
-    _check_kind(batch, TaskKind.DAE_IMAGE)
-    return _batch_nll(batch, model)
-
-
-def loss_dae_text(batch: TaskBatch, model: DuVlgModel) -> Tensor:
-    _check_kind(batch, TaskKind.DAE_TEXT)
-    return _batch_nll(batch, model)
-
-
-def loss_mt_text(batch: TaskBatch, model: DuVlgModel) -> Tensor:
-    _check_kind(batch, TaskKind.MT_CAPTION)
-    return _batch_nll(batch, model)
-
-
-def loss_mt_image(batch: TaskBatch, model: DuVlgModel) -> Tensor:
-    _check_kind(batch, TaskKind.MT_T2I)
-    return _batch_nll(batch, model)
 
 
 def loss_commitment(batch: TaskBatch, model: DuVlgModel) -> Tensor:
@@ -168,12 +144,9 @@ def loss_commitment(batch: TaskBatch, model: DuVlgModel) -> Tensor:
     return ad.squared_error(ad.reshape(proj, (b * n, d)), emb)
 
 
-TASK_LOSS = {
-    TaskKind.DAE_IMAGE: loss_dae_image,
-    TaskKind.DAE_TEXT: loss_dae_text,
-    TaskKind.MT_CAPTION: loss_mt_text,
-    TaskKind.MT_T2I: loss_mt_image,
-}
+# the loss-term name under which each task kind's NLL is reported
+TERM_NAME = {TaskKind.DAE_IMAGE: "l_dae_image", TaskKind.DAE_TEXT: "l_dae_text",
+             TaskKind.MT_CAPTION: "l_mt_text", TaskKind.MT_T2I: "l_mt_image"}
 
 
 @dataclass
@@ -186,12 +159,10 @@ class LossBreakdown:
     l_image: float = 0.0
     l_text: float = 0.0
     l_total: float = 0.0
-    alpha: float = 0.05
-    beta: float = 1.0
     present: frozenset = field(default_factory=frozenset)
 
 
-_TERM_NAMES = ("l_dae_image", "l_dae_text", "l_mt_image", "l_mt_text", "l_com")
+_TERM_NAMES = (*TERM_NAME.values(), "l_com")
 
 
 def total_loss(terms: dict, alpha: float, beta: float):
@@ -215,40 +186,29 @@ def total_loss(terms: dict, alpha: float, beta: float):
     breakdown = LossBreakdown(
         **{name: (terms[name].item() if name in terms else 0.0) for name in _TERM_NAMES},
         l_image=l_image.item(), l_text=l_text.item(), l_total=l_tot.item(),
-        alpha=alpha, beta=beta, present=frozenset(terms),
+        present=frozenset(terms),
     )
     return l_tot, breakdown
 
 
 def task_terms(batch: TaskBatch, model: DuVlgModel, use_commitment: bool = True) -> dict:
     """Loss terms contributed by one homogeneous batch."""
-    name = {TaskKind.DAE_IMAGE: "l_dae_image", TaskKind.DAE_TEXT: "l_dae_text",
-            TaskKind.MT_CAPTION: "l_mt_text", TaskKind.MT_T2I: "l_mt_image"}[batch.kind]
-    terms = {name: TASK_LOSS[batch.kind](batch, model)}
+    terms = {TERM_NAME[batch.kind]: task_nll(batch, model)}
     if use_commitment and batch.kind in IMAGE_TARGET_KINDS:
         terms["l_com"] = loss_commitment(batch, model)
     return terms
 
 
-def sample_task(rng: np.random.Generator, p_dae: float) -> TaskKind:
-    """Family by p_dae, then a fair coin between the family's directions."""
+def sample_task(rng: np.random.Generator, p_dae: float,
+                allow_image: bool = True, allow_text: bool = True) -> TaskKind:
+    """Family by p_dae, then a fair coin between the family's directions;
+    no coin is drawn when an ablation allows only one direction."""
     if not 0.0 <= p_dae <= 1.0:
         raise ValueError(f"p_dae must be in [0, 1], got {p_dae}")
+    if not allow_image and not allow_text:
+        raise ValueError("all task directions disabled")
     dae = rng.random() < p_dae
-    image_target = rng.random() < 0.5
+    image_target = (rng.random() < 0.5) if allow_image and allow_text else allow_image
     if dae:
         return TaskKind.DAE_IMAGE if image_target else TaskKind.DAE_TEXT
     return TaskKind.MT_T2I if image_target else TaskKind.MT_CAPTION
-
-
-def sample_task_restricted(rng: np.random.Generator, p_dae: float,
-                           allow_image: bool = True, allow_text: bool = True) -> TaskKind:
-    """Task sampling with whole directions removed (ablation variants)."""
-    if not allow_image and not allow_text:
-        raise ValueError("all task directions disabled")
-    if allow_image and allow_text:
-        return sample_task(rng, p_dae)
-    dae = rng.random() < p_dae
-    if allow_image:
-        return TaskKind.DAE_IMAGE if dae else TaskKind.MT_T2I
-    return TaskKind.DAE_TEXT if dae else TaskKind.MT_CAPTION

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .model import DuVlgModel
-from .objectives import (CorruptionConfig, LossBreakdown, TaskKind,
-                         build_task_batch, sample_task_restricted, task_terms, total_loss)
+from .objectives import (CorruptionConfig, LossBreakdown, TaskKind, build_task_batch,
+                         sample_task, task_nll, task_terms, total_loss)
 
 T2I_FINETUNE_LR = 1e-4
 CAPTION_FINETUNE_LR = 3e-5
@@ -135,9 +135,8 @@ def pretrain(dataset, model: DuVlgModel, steps: int, settings: TrainSettings,
     records = []
     with ad.no_cyclic_gc():
         for i in range(steps):
-            kind = sample_task_restricted(rng, settings.p_dae,
-                                          allow_image=settings.use_image_loss,
-                                          allow_text=settings.use_text_loss)
+            kind = sample_task(rng, settings.p_dae, allow_image=settings.use_image_loss,
+                               allow_text=settings.use_text_loss)
             idx = rng.integers(0, len(dataset), size=settings.batch_size)
             batch = build_task_batch([dataset[int(j)] for j in idx], kind, rng,
                                      model, settings.corruption)
@@ -185,24 +184,15 @@ def finetune(dataset, model: DuVlgModel, task: TaskKind, epochs: int,
 def evaluate_task_nll(dataset, model: DuVlgModel, kind: TaskKind,
                       settings: TrainSettings, seed: int = 0,
                       batch_size: int = 16) -> float:
-    """Deterministic held-out NLL for one task (fixed corruption seed)."""
+    """Deterministic held-out NLL for one task (fixed corruption seed),
+    computed without building autograd graphs."""
     rng = np.random.default_rng(seed)
     total, n = 0.0, 0
-    with ad.no_cyclic_gc():
+    with ad.no_grad():
         for lo in range(0, len(dataset), batch_size):
             chunk = dataset[lo:lo + batch_size]
             batch = build_task_batch(chunk, kind, rng, model, settings.corruption)
-            loss = task_terms(batch, model, use_commitment=False)
-            (term,) = loss.values()
             weight = sum(len(t) - 1 for t in batch.targets)
-            total += term.item() * weight
+            total += task_nll(batch, model).item() * weight
             n += weight
     return total / n
-
-
-def evaluate_image_nll(dataset, model, settings, seed: int = 0) -> float:
-    return evaluate_task_nll(dataset, model, TaskKind.MT_T2I, settings, seed)
-
-
-def evaluate_caption_nll(dataset, model, settings, seed: int = 0) -> float:
-    return evaluate_task_nll(dataset, model, TaskKind.MT_CAPTION, settings, seed)

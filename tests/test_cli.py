@@ -36,6 +36,44 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_retired_dropout_key_is_unknown(tmp_path, capsys):
+    rc = cli_dispatch(["gen-data", "--out", str(tmp_path / "x"), "--n", "2",
+                       "--set", "dropout=0.1"])
+    assert rc == 1
+    assert "unknown config key 'dropout'" in capsys.readouterr().err
+
+
+def _one_error_line(capsys, text):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:") and text in err[0], err
+
+
+def test_pretrain_nan_lr_fails_in_one_line(tmp_path, data_file, capsys):
+    ckpt = tmp_path / "nan.ckpt"
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "3",
+                       "--out", str(ckpt), "--set", "lr=nan"] + SMALL)
+    assert rc == 1
+    _one_error_line(capsys, "non-finite gradient")
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda h: h.pop("optim"), "header lacks ['optim']"),
+    (lambda h: h["config"].update(batch_size="x"), "bad value 'x' for batch_size"),
+])
+def test_bad_checkpoint_header_fails_in_one_line(tmp_path, data_file, capsys, edit_header,
+                                                 edit, text):
+    base = tmp_path / "base.ckpt"
+    cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "0",
+                  "--out", str(base)] + SMALL)
+    bad = tmp_path / "bad.ckpt"
+    edit_header(base, bad, edit)
+    capsys.readouterr()
+    rc = cli_dispatch(["eval", "--ckpt", str(bad), "--data", str(data_file)])
+    assert rc == 1
+    _one_error_line(capsys, text)
+
+
 def test_gen_data_writes_records(data_file):
     lines = data_file.read_text().strip().split("\n")
     assert len(lines) == 12

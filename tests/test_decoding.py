@@ -166,9 +166,9 @@ def test_samplers_run_and_respect_modality():
     rng = np.random.default_rng(0)
     text_range = set(range(N_SPECIALS, N_SPECIALS + 5))
     for _ in range(10):
-        out = dec.nucleus_sample(model, enc, cfg, rng)
+        out = dec._sample_text(model, enc, replace(cfg, strategy="nucleus"), rng)
         assert set(out.tolist()) <= text_range
-        out = dec.top_k_sample(model, enc, cfg, rng)
+        out = dec._sample_text(model, enc, replace(cfg, strategy="topk"), rng)
         assert set(out.tolist()) <= text_range
 
 

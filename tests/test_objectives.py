@@ -81,19 +81,11 @@ def test_empty_batch_rejected(setup):
         obj.build_task_batch([], TaskKind.MT_CAPTION, np.random.default_rng(0), model, CORR)
 
 
-def test_kind_mismatch_rejected(setup):
-    model, batch = _batch(setup, TaskKind.DAE_IMAGE)
-    with pytest.raises(ValueError):
-        obj.loss_dae_text(batch, model)
-    with pytest.raises(ValueError):
-        obj.loss_mt_text(batch, model)
-
-
 @pytest.mark.parametrize("kind", list(TaskKind))
 def test_init_loss_near_uniform(setup, kind):
     # fresh init: logits are near-uniform, NLL ~ ln(head size) within 10%
     model, batch = _batch(setup, kind)
-    loss = obj.TASK_LOSS[kind](batch, model).item()
+    loss = obj.task_nll(batch, model).item()
     assert loss == pytest.approx(math.log(CFG.head_size), rel=0.10)
 
 
@@ -205,7 +197,7 @@ def test_batched_nll_matches_per_example_loop(setup, kind):
     # independent oracle: encode/decode each example separately, weight by
     # predicted positions
     model, batch = _batch(setup, kind, n=3)
-    batched = obj.TASK_LOSS[kind](batch, model).item()
+    batched = obj.task_nll(batch, model).item()
     total, n_pos = 0.0, 0
     for i in range(len(batch)):
         enc = mdl.encode(model, text_ids=batch.enc_text[i], patches=batch.enc_patches[i],
@@ -251,9 +243,44 @@ def test_sampler_statistics():
 
 def test_sampler_restricted():
     rng = np.random.default_rng(5)
-    only_text = {obj.sample_task_restricted(rng, 0.6, allow_image=False) for _ in range(100)}
+    only_text = {obj.sample_task(rng, 0.6, allow_image=False) for _ in range(100)}
     assert only_text == {TaskKind.DAE_TEXT, TaskKind.MT_CAPTION}
-    only_img = {obj.sample_task_restricted(rng, 0.6, allow_text=False) for _ in range(100)}
+    only_img = {obj.sample_task(rng, 0.6, allow_text=False) for _ in range(100)}
     assert only_img == {TaskKind.DAE_IMAGE, TaskKind.MT_T2I}
-    with pytest.raises(ValueError):
-        obj.sample_task_restricted(rng, 0.6, allow_image=False, allow_text=False)
+
+
+@pytest.mark.parametrize("allow", [{}, {"allow_image": False}, {"allow_text": False},
+                                   {"allow_image": False, "allow_text": False}])
+@pytest.mark.parametrize("p_dae", [-0.1, 1.5, float("nan")])
+def test_sampler_rejects_bad_p_dae(allow, p_dae):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="p_dae"):
+        obj.sample_task(rng, p_dae, **allow)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+
+def test_sampler_rejects_no_direction():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="directions"):
+        obj.sample_task(rng, 0.6, allow_image=False, allow_text=False)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+
+_KIND = {"DI": TaskKind.DAE_IMAGE, "DT": TaskKind.DAE_TEXT,
+         "MC": TaskKind.MT_CAPTION, "MT": TaskKind.MT_T2I}
+
+
+@pytest.mark.parametrize("allow, expected, next_draw", [
+    ({}, "DI MT DT DI MC DT MT DT MC MC MT DI DT DT MT DI DT DI MT MT", 0.03307468737742869),
+    ({"allow_image": False}, "DT DT MC DT DT MC DT DT MC MC DT DT MC DT DT MC MC DT MC DT",
+     0.9809136392973055),
+    ({"allow_text": False}, "DI DI MT DI DI MT DI DI MT MT DI DI MT DI DI MT MT DI MT DI",
+     0.9809136392973055),
+])
+def test_sampler_draw_order_pinned(allow, expected, next_draw):
+    # one draw for the family, a second for the direction only when both are
+    # allowed: the kinds and the generator state after them are pinned
+    rng = np.random.default_rng(11)
+    assert [obj.sample_task(rng, 0.6, **allow) for _ in range(20)] \
+        == [_KIND[k] for k in expected.split()]
+    assert rng.random() == next_draw

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from duvlg import model as mdl
+from duvlg import objectives as obj
 from duvlg import optim as op
 from duvlg.codec import PatchFeaturizer, VisualCodebook
 from duvlg.data import TextVocab, gen_dataset
@@ -188,11 +189,35 @@ def test_finetune_improves_val_loss(world):
     model = _model(world, seed=5)
     train, val = examples[:6], examples[6:]
     settings = TrainSettings(batch_size=3)
-    before = op.evaluate_caption_nll(val, model, settings)
+    before = op.evaluate_task_nll(val, model, TaskKind.MT_CAPTION, settings)
     op.finetune(train, model, TaskKind.MT_CAPTION, 4, settings,
                 np.random.default_rng(2), lr=3e-3)
-    after = op.evaluate_caption_nll(val, model, settings)
+    after = op.evaluate_task_nll(val, model, TaskKind.MT_CAPTION, settings)
     assert after <= before
+
+
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_evaluate_task_nll_builds_no_graph(world, kind):
+    # same value as the graph-building loss, to the last bit, and no
+    # parameter's .grad is touched
+    _, _, _, examples = world
+    model = _model(world, seed=3)
+    settings = TrainSettings()
+    for p in model.params.values():
+        p.grad = np.full(p.values.shape, 7.0)
+    got = op.evaluate_task_nll(examples, model, kind, settings, batch_size=3)
+    rng = np.random.default_rng(0)
+    total, n = 0.0, 0
+    for lo in range(0, len(examples), 3):
+        batch = obj.build_task_batch(examples[lo:lo + 3], kind, rng, model,
+                                     settings.corruption)
+        loss = obj.task_nll(batch, model)
+        assert loss.parents  # the reference path does build a graph
+        weight = sum(len(t) - 1 for t in batch.targets)
+        total += loss.item() * weight
+        n += weight
+    assert got == total / n
+    assert all((p.grad == 7.0).all() for p in model.params.values())
 
 
 def test_t2i_finetune_includes_commitment(world):

@@ -179,3 +179,62 @@ def test_checkpoint_atomic_no_partial_file(tmp_path):
     with pytest.raises(OSError):
         ck.save_checkpoint(path, model, op.OptimState(), np.random.default_rng(0), 0, cfg)
     assert not path.exists()
+
+
+def _saved(tmp_path):
+    cfg = _small_cfg()
+    model, _ = build_model(cfg)
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(path, model, op.make_optimizer(cf.to_train_settings(cfg)),
+                       np.random.default_rng(0), 0, cfg)
+    return path, model, cfg
+
+
+def test_checkpoint_with_retired_dropout_key_loads(tmp_path, edit_header):
+    # headers written before the dropout key was removed still load, unchanged
+    path, model, cfg = _saved(tmp_path)
+    old = tmp_path / "old.ckpt"
+    edit_header(path, old, lambda h: h["config"].update(dropout=0.0))
+    loaded = ck.load_checkpoint(old)
+    assert loaded.config == cfg
+    for (na, pa), (_, pb) in zip(model.named_parameters(), loaded.model.named_parameters()):
+        assert pa.values.tobytes() == pb.values.tobytes(), na
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("config"),
+    lambda h: h.pop("step"),
+    lambda h: h.pop("rng_state"),
+    lambda h: h.pop("optim"),
+    lambda h: h.pop("records"),
+    lambda h: h["optim"].pop("clip_norm"),
+    lambda h: h["optim"].pop("step_count"),
+    lambda h: h.update(optim=[]),
+    lambda h: h["optim"].update(lr="x"),
+    lambda h: h["optim"].update(step_count=None),
+    lambda h: h.update(step="0"),
+    lambda h: h.update(step=True),
+    lambda h: h.update(config=None),
+    lambda h: h.update(records={}),
+    lambda h: h["records"].__setitem__(0, [1, 2]),
+    lambda h: h["records"].__setitem__(0, ["patch_proj"]),
+    lambda h: h["records"].__setitem__(0, ["patch_proj", [-1, 2]]),
+    lambda h: h["records"].__setitem__(0, ["patch_proj", "ab"]),
+    lambda h: h.update(rng_state={}),
+    lambda h: h.update(rng_state="x"),
+])
+def test_checkpoint_header_schema(tmp_path, edit_header, edit):
+    path, _, _ = _saved(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    edit_header(path, bad, edit)
+    with pytest.raises(ck.CheckpointError):
+        ck.load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key, value", [("batch_size", "x"), ("d_model", 16.0),
+                                        ("d_model", True), ("alpha", "0.1"),
+                                        ("alpha", False), ("use_commitment", 1)])
+def test_config_from_dict_type_checks(key, value):
+    with pytest.raises(cf.ConfigError, match=key):
+        cf.config_from_dict({**cf.config_dict(RunConfig()), key: value})
+    assert cf.config_from_dict({"alpha": 1, "seed": 3}) == RunConfig(alpha=1, seed=3)
