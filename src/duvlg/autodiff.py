@@ -8,6 +8,12 @@ Accumulation order is therefore fixed and bitwise reproducible.
 
 Inside ``no_grad()`` no graph is built at all: every op returns a plain
 leaf, so inference holds no parents, closures or gradient buffers.
+
+Gradient buffers have owners.  A leaf (no backward closure) owns its
+``grad``: its first contribution is copied, later ones add in place.  An
+interior node adopts its first contribution by reference and rebinds on the
+next, so no closure ever writes into a buffer it did not allocate, and
+``backward`` drops an interior node's ``grad`` once its closure has run.
 """
 
 from __future__ import annotations
@@ -152,13 +158,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad`` under the ownership rule (module docstring).
+    ``np.array`` keeps ``u``'s memory layout, which later reductions see."""
     if t.requires_grad:
         u = _unbroadcast(g, t.values.shape)
-        if t.grad is None:
-            # copy: u may alias a child's grad buffer routed to several parents
-            t.grad = np.array(u)
+        if t._backward_fn is None:
+            if t.grad is None:
+                t.grad = np.array(u)
+            else:
+                t.grad += u
         else:
-            t.grad += u
+            t.grad = u if t.grad is None else t.grad + u
+
+
+def _own_grad(t: Tensor) -> np.ndarray:
+    """``t.grad`` as a buffer a closure may scatter into: zeros if unset, and
+    a copy of an interior node's adopted (possibly shared) buffer."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    elif t._backward_fn is not None:
+        t.grad = np.array(t.grad)
+    return t.grad
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +209,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_vals = a.values * b.values
 
     def bw(g):
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
+        if a.requires_grad:
+            _accum(a, g * b.values)
+        if b.requires_grad:
+            _accum(b, g * a.values)
 
     return _op(out_vals, (a, b), bw)
 
@@ -214,8 +236,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_vals = a.values @ b.values
 
     def bw(g):
-        _accum(a, g @ np.swapaxes(b.values, -1, -2))
-        _accum(b, np.swapaxes(a.values, -1, -2) @ g)
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.values, -1, -2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(a.values, -1, -2) @ g)
 
     return _op(out_vals, (a, b), bw)
 
@@ -261,9 +285,7 @@ def narrow_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.values)
-            a.grad[start:stop] += g
+            _own_grad(a)[start:stop] += g
 
     return _op(a.values[start:stop].copy(), (a,), bw)
 
@@ -278,9 +300,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     def bw(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.values)
-            np.add.at(table.grad, ids, g)
+            np.add.at(_own_grad(table), ids, g)
 
     return _op(table.values[ids], (table,), bw)
 
@@ -325,7 +345,8 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by row-max subtraction."""
+    """Softmax along the last axis, stabilized by row-max subtraction; the
+    reference ``attention_weights`` is tested against."""
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_vals = e / e.sum(axis=-1, keepdims=True)
@@ -335,6 +356,23 @@ def softmax_rows(a: Tensor) -> Tensor:
         _accum(a, (g - dot) * out_vals)
 
     return _op(out_vals, (a,), bw)
+
+
+def attention_weights(scores: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
+    """``softmax_rows(scores * scale + mask)`` in one buffer, with the same
+    elementwise order; ``mask`` is an additive constant (0 or -inf)."""
+    w = scores.values * scale
+    if mask is not None:
+        w += mask
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        dot = (g * w).sum(axis=-1, keepdims=True)
+        _accum(scores, ((g - dot) * w) * scale)
+
+    return _op(w, (scores,), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -391,10 +429,7 @@ def cross_entropy_logits(logits: Tensor, targets, ignore_mask=None) -> Tensor:
         d[np.arange(n_pos), tgt] -= 1.0
         d[~keep] = 0.0
         d *= float(g) / n_keep
-        if logits.grad is None:
-            logits.grad = d
-        else:
-            logits.grad += d
+        _accum(logits, d)
 
     return _op(out_vals, (logits,), bw)
 
@@ -429,10 +464,12 @@ def stop_gradient(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` of every requires_grad ancestor of a scalar loss.
+    """Populate ``grad`` of every requires_grad leaf under a scalar loss.
 
     Grads of the traversed graph are reset first, so repeated calls on the
-    same graph reproduce identical gradients rather than compounding.
+    same graph reproduce identical gradients rather than compounding.  An
+    interior node's ``grad`` is dropped (``None``) as soon as its closure has
+    run; a leaf that received no gradient gets zeros.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar, got shape {loss.shape}")
@@ -459,8 +496,9 @@ def backward(loss: Tensor):
     for node in nodes:
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
     for node in nodes:
-        if node.requires_grad and node.grad is None:
+        if node.requires_grad and node._backward_fn is None and node.grad is None:
             node.grad = np.zeros_like(node.values)
 
 

@@ -105,7 +105,8 @@ def _check_header(path, header):
 
 def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
                     rng: np.random.Generator, step: int, cfg: RunConfig):
-    """Atomic write (temp file + rename)."""
+    """Atomic write (temp file + rename).  Non-finite parameters or Adam
+    moments raise ``CheckpointError`` before any file is opened."""
     records = []
     buffers = []
     for name, p in model.named_parameters():
@@ -118,6 +119,10 @@ def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
                 buf = np.zeros_like(p.values)
             records.append([f"adam.{kind}.{name}", list(buf.shape)])
             buffers.append(buf)
+    bad = [name for (name, _), buf in zip(records, buffers) if not np.isfinite(buf).all()]
+    if bad:
+        raise CheckpointError(f"{path}: not saved, {len(bad)} records hold non-finite "
+                              f"values (first {bad[0]!r})")
 
     header = {
         "config": config_dict(cfg),

@@ -8,6 +8,7 @@ top-p 0.9, 16 samples per caption.  Unknown keys are rejected on load.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .codec import PatchFeaturizer, VisualCodebook
@@ -71,6 +72,23 @@ class RunConfig:
     length_norm: float = 1.0
     # data
     val_frac: float = 0.1
+
+    def __post_init__(self):
+        """Range checks, so a bad value fails before anything is built."""
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("lr", "t2i_lr", "caption_lr"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        for key in ("p_dae", "image_mask_rate", "text_mask_rate", "val_frac"):
+            value = getattr(self, key)
+            if not 0 <= value <= 1:
+                raise ConfigError(f"{key} must be in [0, 1], got {value}")
+        if not 0 < self.top_p <= 1:
+            raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
+        if not self.clip_norm >= 0:
+            raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
 
     def grid_dims(self) -> tuple[int, int]:
         if self.image_size % self.patch_size:

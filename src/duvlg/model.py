@@ -361,12 +361,12 @@ def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor
     qh = _split_heads(model, q)
     tk = kh.shape[2]
 
-    scores = ad.mul(ad.matmul(qh, ad.swapaxes(kh, 2, 3)), Tensor(1.0 / np.sqrt(dh)))
+    mask = key_add
     if causal:
-        scores = ad.add(scores, Tensor(np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)))
-    if key_add is not None:
-        scores = ad.add(scores, Tensor(key_add))
-    weights = ad.softmax_rows(scores)
+        future = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
+        mask = future if key_add is None else future + key_add
+    weights = ad.attention_weights(ad.matmul(qh, ad.swapaxes(kh, 2, 3)),
+                                   1.0 / np.sqrt(dh), mask)
     gathered = ad.reshape(ad.swapaxes(ad.matmul(weights, vh), 1, 2), (b, tq, d))
     return ad.add(ad.matmul(gathered, attn.wo), attn.bo)
 

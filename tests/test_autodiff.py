@@ -213,12 +213,15 @@ def test_all_ops_gradcheck_randomized(seed):
     w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
     ids = rng.integers(0, 5, 4)
     tgt = rng.integers(0, 3, 6)
+    mask = np.where(rng.uniform(size=(4, 6)) < 0.3, -np.inf, 0.0)
+    mask[:, 0] = 0.0  # every row keeps a key
 
     def loss():
         rows = ad.gather_rows(table, ids)
         h = ad.layer_norm(ad.add(x, rows), g, b)
         h = ad.gelu(h)
         h = ad.softmax_rows(h)
+        h = ad.attention_weights(h, 1.7, mask)
         h3 = ad.reshape(h, (2, 2, 6))
         h3 = ad.swapaxes(h3, 0, 1)
         h = ad.reshape(h3, (4, 6))
@@ -271,3 +274,108 @@ def test_repeated_backward_reproduces():
     assert np.array_equal(x.grad, first) and np.array_equal(first, [3.0])
     x.zero_grad()
     assert x.grad is None
+
+
+def _chain_attention(scores, scale, masks):
+    """The unfused reference: mul by the scale, add each mask, softmax_rows."""
+    out = ad.mul(scores, Tensor(scale))
+    for m in masks:
+        out = ad.add(out, Tensor(m))
+    return ad.softmax_rows(out)
+
+
+def _attention_cases():
+    rng = np.random.default_rng(5)
+    b, h, tq, tk = 3, 2, 4, 6
+    causal = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
+    keys = np.zeros((b, 1, 1, tk))
+    keys[0, ..., 4:] = -np.inf
+    keys[2, ..., 5:] = -np.inf
+    scores = rng.normal(size=(b, h, tq, tk)) * 3.0
+    upstream = rng.normal(size=(b, h, tq, tk))
+    return scores, upstream, {"none": [], "causal": [causal], "keys": [keys],
+                              "causal+keys": [causal, keys]}
+
+
+@pytest.mark.parametrize("case", ["none", "causal", "keys", "causal+keys"])
+def test_attention_weights_bitwise_equals_unfused_chain(case):
+    values, upstream, cases = _attention_cases()
+    masks = cases[case]
+    combined = None
+    for m in masks:
+        combined = m if combined is None else combined + m
+    scale = 1.0 / np.sqrt(8)
+    grads = []
+    for build in (lambda s: _chain_attention(s, scale, masks),
+                  lambda s: ad.attention_weights(s, scale, combined)):
+        scores = Tensor(values.copy(), requires_grad=True)
+        out = build(scores)
+        ad.backward(ad.mul(out, Tensor(upstream)).sum())
+        grads.append((out.values, scores.grad))
+    (ref_out, ref_grad), (out, grad) = grads
+    assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
+    if masks:
+        assert np.all(out[np.isneginf(np.broadcast_to(combined, out.shape))] == 0.0)
+
+
+def test_attention_weights_no_grad_matches_and_builds_no_graph():
+    values, _, cases = _attention_cases()
+    causal, keys = cases["causal+keys"]
+    scores = Tensor(values, requires_grad=True)
+    ref = ad.attention_weights(scores, 0.5, causal + keys)
+    with ad.no_grad():
+        out = ad.attention_weights(scores, 0.5, causal + keys)
+    assert out.parents == () and not out.requires_grad
+    assert np.array_equal(out.values, ref.values)
+    assert np.array_equal(values, scores.values)  # the input is not overwritten
+
+
+def test_leaf_grads_are_owned_and_interior_grads_dropped():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    h = ad.add(a, b)
+    loss = ad.sum_all(h)
+    ad.backward(loss)
+    assert h.grad is None and loss.grad is None
+    assert not np.shares_memory(a.grad, b.grad)
+    for t in (a, b):
+        assert t.grad.flags.writeable and t.grad.flags.owndata
+        assert np.array_equal(t.grad, [1.0, 1.0])
+    a.grad += 1.0
+    assert np.array_equal(b.grad, [1.0, 1.0])
+
+    ad.backward(ad.sum_all(ad.add(a, a)))
+    assert a.grad.flags.writeable and np.array_equal(a.grad, [2.0, 2.0])
+
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    ad.backward(ad.sum_all(x))
+    assert x.grad.flags.writeable and x.grad.flags.owndata
+    assert np.array_equal(x.grad, np.ones((2, 3)))
+
+
+def test_scatter_into_interior_grad_leaves_shared_buffers_alone():
+    """``narrow_rows`` scatters into an interior node whose grad it adopted
+    from a read-only view that a leaf's grad was copied from."""
+    x = Tensor(np.zeros((3, 2)), requires_grad=True)
+    c = Tensor(np.zeros((3, 2)), requires_grad=True)
+    h = ad.reshape(x, (3, 2))
+    top = ad.narrow_rows(h, 0, 2)
+    loss = ad.add(ad.sum_all(top), ad.sum_all(ad.add(h, c)))
+    ad.backward(loss)
+    assert np.array_equal(c.grad, np.ones((3, 2)))
+    assert np.array_equal(x.grad, [[2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+
+
+def test_interior_accumulation_rebinds_instead_of_adding_in_place():
+    """``add`` hands one buffer to both interior parents; a later
+    contribution to one of them must not show up in the other."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    w = Tensor(np.ones(3), requires_grad=True)
+    h1 = ad.reshape(x, (3,))
+    h2 = ad.reshape(w, (3,))
+    e = ad.mul(h1, Tensor(5.0))
+    y = ad.add(h1, h2)
+    loss = ad.add(ad.mul(y, Tensor(np.ones(3))).sum(), e.sum())
+    ad.backward(loss)
+    assert np.array_equal(x.grad, [6.0, 6.0, 6.0])
+    assert np.array_equal(w.grad, [1.0, 1.0, 1.0])

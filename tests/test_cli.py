@@ -53,8 +53,51 @@ def test_pretrain_nan_lr_fails_in_one_line(tmp_path, data_file, capsys):
     rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "3",
                        "--out", str(ckpt), "--set", "lr=nan"] + SMALL)
     assert rc == 1
+    _one_error_line(capsys, "lr must be finite and > 0")
+    assert not ckpt.exists()
+
+
+def test_pretrain_non_finite_gradient_fails_in_one_line(tmp_path, data_file, capsys):
+    # adam_eps=0 turns the 0/0 update of untouched embedding rows into NaN
+    ckpt = tmp_path / "nan.ckpt"
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "3",
+                       "--out", str(ckpt), "--set", "adam_eps=0"] + SMALL)
+    assert rc == 1
     _one_error_line(capsys, "non-finite gradient")
     assert not ckpt.exists()
+
+
+def test_pretrain_refuses_non_finite_checkpoint(tmp_path, data_file, capsys):
+    ckpt = tmp_path / "nan.ckpt"
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1",
+                       "--out", str(ckpt), "--set", "adam_eps=0"] + SMALL)
+    assert rc == 1
+    _one_error_line(capsys, "non-finite values")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]
+
+
+_OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t2i_lr=-1e-4",
+                 "caption_lr=nan", "p_dae=1.5", "p_dae=-0.1", "image_mask_rate=2",
+                 "text_mask_rate=nan", "val_frac=1.01", "top_p=0", "top_p=1.5",
+                 "clip_norm=-1", "clip_norm=nan"]
+
+
+@pytest.mark.parametrize("setting", _OUT_OF_RANGE)
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_out_of_range_config_fails_before_building(tmp_path, monkeypatch, capsys,
+                                                   command, setting):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("built or loaded a model despite a bad config")
+
+    monkeypatch.setattr("duvlg.cli.build_model", must_not_run)
+    monkeypatch.setattr("duvlg.cli.load_checkpoint", must_not_run)
+    source = ["--ckpt", str(tmp_path / "absent.ckpt"), "--task", "caption", "--epochs", "1"] \
+        if command == "finetune" else ["--steps", "1"]
+    rc = cli_dispatch([command, "--data", str(tmp_path / "absent.tsv"),
+                       "--out", str(tmp_path / "out.ckpt"), "--set", setting] + source)
+    assert rc == 1
+    _one_error_line(capsys, setting.split("=")[0] + " must be")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("edit, text", [
