@@ -229,10 +229,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.values.shape[-1] != b.values.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    try:
-        np.broadcast_shapes(a.values.shape[:-2], b.values.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}") from None
+    # a 2-D operand broadcasts against any batch shape
+    if a.values.ndim > 2 and b.values.ndim > 2 and a.values.shape[:-2] != b.values.shape[:-2]:
+        try:
+            np.broadcast_shapes(a.values.shape[:-2], b.values.shape[:-2])
+        except ValueError:
+            raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}") from None
     out_vals = a.values @ b.values
 
     def bw(g):
@@ -375,21 +377,37 @@ def attention_weights(scores: Tensor, scale: float, mask: np.ndarray | None = No
     return _op(w, (scores,), bw)
 
 
+def _row_mean(v: np.ndarray) -> np.ndarray:
+    """``v.mean(axis=-1, keepdims=True)`` to the bit (the sum divided in place
+    by the count, as ``np.mean`` computes it) without its per-call overhead."""
+    m = v.sum(axis=-1, keepdims=True)
+    m /= v.shape[-1]
+    return m
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean/unit-variance normalization over last axis, then affine."""
+    """Zero-mean/unit-variance normalization over last axis, then affine.
+    Forward and backward work in place on the op's own temporaries, in the
+    elementwise order of the ``np.mean`` formulation."""
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
-    out_vals = y * gain.values + bias.values
+    y = x - _row_mean(x)
+    var = _row_mean(y * y)
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    y *= inv
+    out_vals = y * gain.values
+    out_vals += bias.values
 
     def bw(g):
         dy = g * gain.values
-        _accum(a, (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True)) * inv)
+        dyy = dy * y
+        np.multiply(y, _row_mean(dyy), out=dyy)
+        dy -= _row_mean(dy)
+        dy -= dyy
+        dy *= inv
+        _accum(a, dy)
         reduce_axes = tuple(range(g.ndim - 1))
         _accum(gain, (g * y).sum(axis=reduce_axes) if reduce_axes else g * y)
         _accum(bias, g.sum(axis=reduce_axes) if reduce_axes else g)

@@ -278,7 +278,10 @@ def cli_dispatch(argv) -> int:
             raise ConfigError("this command restores the checkpoint's config; "
                               "use --set for adjustments, not --config")
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](args, cfg)
+        # numpy's overflow warnings would precede the one-line error; the
+        # finite checks on gradients, parameters and scores report instead
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args, cfg)
     except (ConfigError, CheckpointError, ValueError, OSError, op.NonFiniteGradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -77,7 +77,7 @@ class RunConfig:
         """Range checks, so a bad value fails before anything is built."""
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for key in ("lr", "t2i_lr", "caption_lr"):
+        for key in ("lr", "t2i_lr", "caption_lr", "adam_eps"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{key} must be finite and > 0, got {value}")
@@ -85,6 +85,10 @@ class RunConfig:
             value = getattr(self, key)
             if not 0 <= value <= 1:
                 raise ConfigError(f"{key} must be in [0, 1], got {value}")
+        for key in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, key)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{key} must be in [0, 1), got {value}")
         if not 0 < self.top_p <= 1:
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
         if not self.clip_norm >= 0:

@@ -73,12 +73,17 @@ def _start(model: DuVlgModel, enc_states: Tensor, capacity: int):
 def _step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids,
                    temperature) -> np.ndarray:
     """Feed one token per row through the cached decoder; returns log-probs
-    [rows x len(candidate_ids)], each row renormalized to that support."""
+    [rows x len(candidate_ids)], each row renormalized to that support.
+    Raises ``ValueError`` if any of them is not finite, before the caller
+    draws a token or ranks a hypothesis."""
     step = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
     logits = decode_forward_batch(model, step, enc, enc_valid, cache)
     rows = logits.values[:, -1, candidate_ids] / temperature
     rows = rows - rows.max(axis=1, keepdims=True)
-    return rows - np.log(np.exp(rows).sum(axis=1, keepdims=True))
+    lp = rows - np.log(np.exp(rows).sum(axis=1, keepdims=True))
+    if not np.isfinite(lp).all():
+        raise ValueError("decoder log-probabilities are not all finite")
+    return lp
 
 
 def beam_search(model: DuVlgModel, enc_states, cfg: DecodeConfig):
@@ -121,7 +126,8 @@ def beam_search(model: DuVlgModel, enc_states, cfg: DecodeConfig):
 
 def nucleus_filter(probs: np.ndarray, top_p: float):
     """Smallest probability-sorted prefix with cumulative mass >= top_p.
-    Returns (indices into probs, renormalized probabilities)."""
+    Returns (indices into probs, renormalized probabilities).  The per-row
+    reference that ``_pick`` is tested against."""
     order = np.argsort(-probs, kind="stable")
     cum = np.cumsum(probs[order])
     cut = int(np.searchsorted(cum, top_p, side="left"))
@@ -132,25 +138,43 @@ def nucleus_filter(probs: np.ndarray, top_p: float):
 
 
 def top_k_filter(probs: np.ndarray, k: int):
-    """The k highest-probability entries (stable: ties keep lower indices)."""
+    """The k highest-probability entries (stable: ties keep lower indices);
+    the per-row reference for ``_pick``'s top-k cut."""
     order = np.argsort(-probs, kind="stable")[:min(k, probs.size)]
     mass = probs[order]
     return order, mass / mass.sum()
 
 
-def _pick(lp: np.ndarray, cfg: DecodeConfig, rng) -> int:
-    """Index into the candidate support vector for one decode step."""
+def _pick(lp: np.ndarray, cfg: DecodeConfig, rngs) -> np.ndarray:
+    """One index into the candidate vector per row of log-probs [rows x C].
+
+    Sampling keeps each row's nucleus or top-k support (as ``nucleus_filter``
+    or ``top_k_filter`` would), draws exactly one ``rngs[r].random()`` per
+    row in row order, and returns what ``rngs[r].choice(support, p=renorm)``
+    would: the first support entry whose normalized cumulative mass exceeds
+    the draw.  Each support's mass is the 1-D sum of exactly its entries, as
+    in the per-row reference, so the bits match it."""
     if cfg.strategy == "greedy":
-        return int(np.argmax(lp))
-    probs = np.exp(lp)
-    probs = probs / probs.sum()
-    if cfg.strategy == "nucleus":
-        support, renorm = nucleus_filter(probs, cfg.top_p)
-    elif cfg.strategy == "topk":
-        support, renorm = top_k_filter(probs, cfg.k)
-    else:
+        return np.argmax(lp, axis=1)
+    if cfg.strategy not in ("nucleus", "topk"):
         raise ValueError(f"strategy {cfg.strategy!r} is not a sampling strategy")
-    return int(rng.choice(support, p=renorm))
+    rows, size = lp.shape
+    probs = np.exp(lp)
+    probs /= probs.sum(axis=1, keepdims=True)
+    order = np.argsort(-probs, axis=1, kind="stable")
+    ranked = np.take_along_axis(probs, order, axis=1)
+    if cfg.strategy == "nucleus":
+        kept = np.minimum((np.cumsum(ranked, axis=1) < cfg.top_p).sum(axis=1) + 1, size)
+    else:
+        kept = np.full(rows, min(cfg.k, size))
+    mass = np.array([row[:n].sum() for row, n in zip(ranked, kept)])
+    renorm = ranked / mass[:, None]
+    renorm[np.arange(size) >= kept[:, None]] = 0.0
+    cdf = np.cumsum(renorm, axis=1)
+    cdf /= cdf[np.arange(rows), kept - 1][:, None]
+    draws = np.array([rng.random() for rng in rngs])
+    # past the support cdf is exactly 1.0, above every draw
+    return order[np.arange(rows), (cdf <= draws[:, None]).sum(axis=1)]
 
 
 def _sample_text(model, enc_states, cfg: DecodeConfig, rng) -> np.ndarray:
@@ -161,7 +185,7 @@ def _sample_text(model, enc_states, cfg: DecodeConfig, rng) -> np.ndarray:
     with ad.no_grad():
         for _ in range(cfg.max_len):
             lp = _step_logprobs(model, enc, enc_valid, cache, [last], candidates, cfg.temperature)
-            last = int(candidates[_pick(lp[0], cfg, rng)])
+            last = int(candidates[_pick(lp, cfg, [rng])[0]])
             if last == SPECIALS.eos:
                 break
             tokens.append(last)
@@ -172,8 +196,8 @@ def generate_image_tokens(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
                           n_patches: int) -> list[np.ndarray]:
     """n_samples bracketed unified sequences [BOI] v1..vn [EOI]; the head is
     restricted to visual tokens for exactly n_patches steps, then [EOI] is
-    forced.  All samples advance as one cached batch step; each sample draws
-    from its own spawned rng stream."""
+    forced.  All samples advance as one cached batch step and one batched
+    ``_pick``; each sample draws from its own spawned rng stream."""
     if cfg.strategy == "beam":
         raise ValueError("image sampling uses greedy/nucleus/topk, not beam")
     if n_patches > model.cfg.max_patches:
@@ -186,7 +210,7 @@ def generate_image_tokens(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
         for _ in range(n_patches):
             lp = _step_logprobs(model, enc, enc_valid, cache, columns[-1], visual,
                                 cfg.temperature)
-            columns.append(visual[[_pick(row, cfg, child) for row, child in zip(lp, children)]])
+            columns.append(visual[_pick(lp, cfg, children)])
     columns.append(np.full(cfg.n_samples, SPECIALS.eoi))
     return list(np.stack(columns, axis=1).astype(np.int64))
 

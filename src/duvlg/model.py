@@ -362,7 +362,7 @@ def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor
     tk = kh.shape[2]
 
     mask = key_add
-    if causal:
+    if causal and tq > 1:  # a single query sees every cached key
         future = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
         mask = future if key_add is None else future + key_add
     weights = ad.attention_weights(ad.matmul(qh, ad.swapaxes(kh, 2, 3)),

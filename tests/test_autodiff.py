@@ -21,6 +21,15 @@ def test_matmul_forced_arithmetic():
 def test_matmul_shape_mismatch():
     with pytest.raises(ad.ShapeError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ad.ShapeError, match="batch dims differ"):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(ad.ShapeError, match="batch dims differ"):
+        ad.matmul(Tensor(np.zeros((2, 2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    # batch shapes that broadcast, or a 2-D operand, pass the check
+    for a, b in (((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)), ((1, 3, 4), (2, 4, 5)),
+                 ((2, 1, 3, 4), (3, 4, 5)), ((2, 3, 4), (2, 4, 5))):
+        assert ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b))).shape == \
+            np.broadcast_shapes(a[:-2], b[:-2]) + (a[-2], b[-1])
 
 
 def test_matmul_gradient_matches_finite_differences():
@@ -72,6 +81,48 @@ def test_layer_norm_gradient():
 
     for wrt in (x, g, b):
         assert ad.grad_check(loss, wrt).max_rel_error < 1e-5
+
+
+def _mean_formula_layer_norm(a, gain, bias, eps=1e-5):
+    """The ``np.mean`` formulation ``layer_norm`` must reproduce bit for bit."""
+    x = a.values
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = xc * inv
+    out_vals = y * gain.values + bias.values
+
+    def bw(g):
+        dy = g * gain.values
+        ad._accum(a, (dy - dy.mean(axis=-1, keepdims=True)
+                      - y * (dy * y).mean(axis=-1, keepdims=True)) * inv)
+        reduce_axes = tuple(range(g.ndim - 1))
+        ad._accum(gain, (g * y).sum(axis=reduce_axes) if reduce_axes else g * y)
+        ad._accum(bias, g.sum(axis=reduce_axes) if reduce_axes else g)
+
+    return ad._op(out_vals, (a, gain, bias), bw)
+
+
+@pytest.mark.parametrize("shape", [(7,), (40, 9), (16, 1, 64), (4, 25, 24)])
+def test_layer_norm_bitwise_equals_mean_formula(shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[-1])
+    gain_v, bias_v = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    upstream = rng.normal(size=shape)
+    results = []
+    for norm in (_mean_formula_layer_norm, ad.layer_norm):
+        x = Tensor(values.copy(), requires_grad=True)
+        gain = Tensor(gain_v.copy(), requires_grad=True)
+        bias = Tensor(bias_v.copy(), requires_grad=True)
+        # an interior input, so the gradient reaching x goes through the op
+        inp = ad.mul(x, Tensor(2.0))
+        out = norm(inp, gain, bias)
+        ad.backward(ad.mul(out, Tensor(upstream)).sum())
+        results.append((out.values, x.grad, gain.grad, bias.grad))
+        assert np.array_equal(inp.values, 2.0 * values)  # the input is not overwritten
+    for ref, got in zip(*results):
+        assert np.array_equal(ref, got)
 
 
 def test_cross_entropy_uniform_logits():
@@ -316,6 +367,29 @@ def test_attention_weights_bitwise_equals_unfused_chain(case):
     assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
     if masks:
         assert np.all(out[np.isneginf(np.broadcast_to(combined, out.shape))] == 0.0)
+
+
+def test_single_query_attention_needs_no_causal_mask():
+    rng = np.random.default_rng(6)
+    b, h, tk = 3, 2, 7
+    values = rng.normal(size=(b, h, 1, tk))
+    values[0, 0, 0, :3] = -0.0  # the sign a zero mask would flip
+    values[1, 1, 0, :] = 0.0
+    upstream = rng.normal(size=values.shape)
+    keys = np.zeros((b, 1, 1, tk))
+    keys[2, ..., 5:] = -np.inf
+    # the causal mask of one query over tk keys has no masked entry
+    causal = np.triu(np.full((1, tk), -np.inf), k=tk)
+    assert np.array_equal(causal, np.zeros((1, tk)))
+    for masked, bare in ((causal, None), (causal + keys, keys)):
+        grads = []
+        for mask in (masked, bare):
+            scores = Tensor(values.copy(), requires_grad=True)
+            out = ad.attention_weights(scores, 0.5, mask)
+            ad.backward(ad.mul(out, Tensor(upstream)).sum())
+            grads.append((out.values, scores.grad))
+        (ref_out, ref_grad), (out, grad) = grads
+        assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
 
 
 def test_attention_weights_no_grad_matches_and_builds_no_graph():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from duvlg import checkpoint as ck
+from duvlg import optim as op
 from duvlg.cli import cli_dispatch
 from duvlg.config import RunConfig, apply_overrides, build_model
 
@@ -57,29 +60,52 @@ def test_pretrain_nan_lr_fails_in_one_line(tmp_path, data_file, capsys):
     assert not ckpt.exists()
 
 
+def _dispatch_recording_warnings(argv):
+    """``cli_dispatch(argv)`` and every warning it raised, none filtered."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli_dispatch(argv)
+    return rc, caught
+
+
 def test_pretrain_non_finite_gradient_fails_in_one_line(tmp_path, data_file, capsys):
-    # adam_eps=0 turns the 0/0 update of untouched embedding rows into NaN
+    # lr=1e300 overflows the first update; the next forward pass is non-finite
     ckpt = tmp_path / "nan.ckpt"
-    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "3",
-                       "--out", str(ckpt), "--set", "adam_eps=0"] + SMALL)
+    rc, caught = _dispatch_recording_warnings(
+        ["pretrain", "--data", str(data_file), "--steps", "3",
+         "--out", str(ckpt), "--set", "lr=1e300"] + SMALL)
     assert rc == 1
     _one_error_line(capsys, "non-finite gradient")
     assert not ckpt.exists()
+    assert [str(w.message) for w in caught] == []
 
 
-def test_pretrain_refuses_non_finite_checkpoint(tmp_path, data_file, capsys):
-    ckpt = tmp_path / "nan.ckpt"
-    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1",
-                       "--out", str(ckpt), "--set", "adam_eps=0"] + SMALL)
+def test_pretrain_refuses_non_finite_checkpoint(tmp_path, data_file, capsys, monkeypatch):
+    # no valid config reaches the save with non-finite parameters, so a
+    # parameter is poisoned after training
+    pretrain = op.pretrain
+
+    def pretrain_then_poison(dataset, model, *args, **kwargs):
+        out = pretrain(dataset, model, *args, **kwargs)
+        model.text_embed.values[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr("duvlg.cli.op.pretrain", pretrain_then_poison)
+    rc, caught = _dispatch_recording_warnings(
+        ["pretrain", "--data", str(data_file), "--steps", "1",
+         "--out", str(tmp_path / "nan.ckpt")] + SMALL)
     assert rc == 1
     _one_error_line(capsys, "non-finite values")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]
+    assert [str(w.message) for w in caught] == []
 
 
 _OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t2i_lr=-1e-4",
                  "caption_lr=nan", "p_dae=1.5", "p_dae=-0.1", "image_mask_rate=2",
                  "text_mask_rate=nan", "val_frac=1.01", "top_p=0", "top_p=1.5",
-                 "clip_norm=-1", "clip_norm=nan"]
+                 "clip_norm=-1", "clip_norm=nan", "adam_eps=0", "adam_eps=-1e-8",
+                 "adam_eps=nan", "adam_eps=inf", "adam_beta1=1", "adam_beta1=-0.1",
+                 "adam_beta2=1", "adam_beta2=nan"]
 
 
 @pytest.mark.parametrize("setting", _OUT_OF_RANGE)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from duvlg import config
 from duvlg import decoding as dec
 from duvlg import model as mdl
 from duvlg.codec import PatchFeaturizer, VisualCodebook
@@ -32,6 +34,20 @@ def _full_logprobs(model, enc, prefix, candidates, temperature=1.0):
     row = logits.values[-1][candidates] / temperature
     row = row - row.max()
     return row - np.log(np.exp(row).sum())
+
+
+def _reference_pick(lp, cfg, rng) -> int:
+    """Per-row pick through the filters and ``rng.choice``: the simple path
+    the batched ``dec._pick`` must reproduce bit for bit."""
+    if cfg.strategy == "greedy":
+        return int(np.argmax(lp))
+    probs = np.exp(lp)
+    probs = probs / probs.sum()
+    if cfg.strategy == "nucleus":
+        support, renorm = nucleus_filter(probs, cfg.top_p)
+    else:
+        support, renorm = top_k_filter(probs, cfg.k)
+    return int(rng.choice(support, p=renorm))
 
 
 def _exhaustive_best(model, enc, cfg):
@@ -172,6 +188,48 @@ def test_samplers_run_and_respect_modality():
         assert set(out.tolist()) <= text_range
 
 
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _pick_cases():
+    rng = np.random.default_rng(8)
+    peaked = np.zeros((3, 6))
+    peaked[:, 2] = 60.0  # one candidate holds all but ~1e-26 of the mass
+    return {
+        "random": (rng.normal(size=(16, 64)) * 2.0, {}),
+        "ties": (np.round(rng.normal(size=(8, 40))), {}),
+        "uniform": (np.zeros((4, 9)), {}),
+        "top_p_one": (rng.normal(size=(6, 30)), {"top_p": 1.0}),
+        "support_of_one": (peaked, {"top_p": 0.5, "k": 1}),
+        "k_at_least_size": (rng.normal(size=(5, 8)), {"k": 50}),
+        "one_row": (rng.normal(size=(1, 89)) * 3.0, {"top_p": 0.7, "k": 3}),
+        "one_candidate": (rng.normal(size=(3, 1)), {}),
+    }
+
+
+@pytest.mark.parametrize("strategy", ["nucleus", "topk", "greedy"])
+@pytest.mark.parametrize("case", list(_pick_cases()))
+def test_pick_matches_per_row_reference(case, strategy):
+    logits, overrides = _pick_cases()[case]
+    lp = _log_softmax(logits)
+    cfg = DecodeConfig(strategy=strategy, **{"top_p": 0.9, "k": 5, **overrides})
+    for seed in range(5):
+        batched = np.random.default_rng(seed).spawn(len(lp))
+        per_row = np.random.default_rng(seed).spawn(len(lp))
+        got = dec._pick(lp, cfg, batched)
+        want = [_reference_pick(row, cfg, child) for row, child in zip(lp, per_row)]
+        assert got.tolist() == want
+        # one draw per sampled row, none for greedy: the streams stay in step
+        assert [c.bit_generator.state for c in batched] == [c.bit_generator.state for c in per_row]
+
+
+def test_pick_rejects_beam():
+    with pytest.raises(ValueError, match="not a sampling strategy"):
+        dec._pick(np.zeros((1, 3)), DecodeConfig(strategy="beam"), [np.random.default_rng(0)])
+
+
 @pytest.fixture(scope="module")
 def gen_world():
     cfg = ModelConfig(d_model=16, n_layers_enc=1, n_layers_dec=1, n_heads=2, d_ff=32,
@@ -228,7 +286,7 @@ def _oracle_image_tokens(model, caption, cfg, rng, n_patches):
         prefix = [SPECIALS.boi]
         for _ in range(n_patches):
             lp = _full_logprobs(model, enc, prefix, visual, cfg.temperature)
-            prefix.append(int(visual[dec._pick(lp, cfg, child)]))
+            prefix.append(int(visual[_reference_pick(lp, cfg, child)]))
         out.append(prefix + [SPECIALS.eoi])
     return out
 
@@ -254,11 +312,56 @@ def test_sample_text_matches_full_recompute(gen_world):
         rng, prefix = np.random.default_rng(seed), [SPECIALS.bos]
         for _ in range(cfg.max_len):
             lp = _full_logprobs(model, enc, prefix, candidates, cfg.temperature)
-            pick = int(candidates[dec._pick(lp, cfg, rng)])
+            pick = int(candidates[_reference_pick(lp, cfg, rng)])
             if pick == SPECIALS.eos:
                 break
             prefix.append(pick)
         assert got.tolist() == prefix[1:]
+
+
+# sha256 of the [16 x 66] int64 samples for RunConfig(seed=4), the first
+# caption of gen_dataset(1, 4), rng seed 21, as decoded by the per-row pick
+_PINNED_IMAGE_TOKENS = {
+    "nucleus": "fbeb0841b1a42678431baf175b7b9c2523f5e714a3850765f5f8b6cbb1e15fa7",
+    "topk": "d726011443d0d0de1cfe8b01fd827176440c6cc5d68549dc1590eef0e4377839",
+}
+
+
+@pytest.mark.parametrize("strategy", list(_PINNED_IMAGE_TOKENS))
+def test_generate_image_tokens_pinned(strategy):
+    run_cfg = config.RunConfig(seed=4)
+    model, vocab = config.build_model(run_cfg)
+    caption = gen_dataset(1, 4, model.codebook, run_cfg.grid_dims(), vocab)[0].caption
+    seqs = np.stack(dec.generate_image_tokens(model, caption,
+                                              config.to_decode_config(run_cfg, strategy, "image"),
+                                              np.random.default_rng(21), 64))
+    assert seqs.shape == (16, 66)
+    assert hashlib.sha256(seqs.astype("<i8").tobytes()).hexdigest() == _PINNED_IMAGE_TOKENS[strategy]
+
+
+def _never_pick(*_args):
+    raise AssertionError("a token was picked from non-finite log-probabilities")
+
+
+@pytest.mark.parametrize("modality", ["text", "image"])
+@pytest.mark.parametrize("strategy", ["beam", "greedy", "nucleus", "topk"])
+def test_non_finite_logprobs_fail_before_any_pick(gen_world, monkeypatch, strategy, modality):
+    model, vocab, examples = gen_world
+    # one NaN in the last row of the head block this modality decodes into
+    table = model.text_embed if modality == "text" else model.visual_embed_dec
+    poisoned = table.values.copy()
+    poisoned[-1, 0] = np.nan
+    monkeypatch.setattr(table, "values", poisoned)
+    monkeypatch.setattr(dec, "_pick", _never_pick)
+    cfg = DecodeConfig(strategy=strategy, modality=modality, max_len=4, n_samples=3)
+    with pytest.raises(ValueError, match="log-probabilities are not all finite"):
+        if modality == "text":
+            dec.caption_image(model, examples[0].image, cfg, np.random.default_rng(0))
+        elif strategy == "beam":
+            beam_search(model, mdl.encode(model, text_ids=examples[0].caption), cfg)
+        else:
+            dec.generate_image_tokens(model, examples[0].caption, cfg,
+                                      np.random.default_rng(0), 4)
 
 
 def _no_encoding(*_args, **_kwargs):

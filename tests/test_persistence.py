@@ -60,8 +60,9 @@ def test_config_rejects_bad_values():
 def test_config_range_bounds_are_inclusive_where_documented():
     cfg = apply_overrides(RunConfig(), ["batch_size=1", "p_dae=0", "image_mask_rate=1",
                                         "text_mask_rate=0", "val_frac=1", "top_p=1",
-                                        "clip_norm=0"])
+                                        "clip_norm=0", "adam_beta1=0", "adam_beta2=0"])
     assert cfg.batch_size == 1 and cfg.top_p == 1.0 and cfg.clip_norm == 0.0
+    assert cfg.adam_beta1 == cfg.adam_beta2 == 0.0
     with pytest.raises(cf.ConfigError, match="batch_size must be >= 1"):
         RunConfig(batch_size=0)
     with pytest.raises(cf.ConfigError, match="batch_size must be >= 1"):
