@@ -14,10 +14,14 @@ Gradient buffers have owners.  A leaf (no backward closure) owns its
 interior node adopts its first contribution by reference and rebinds on the
 next, so no closure ever writes into a buffer it did not allocate, and
 ``backward`` drops an interior node's ``grad`` once its closure has run.
+
+On glibc, importing this module tells malloc to keep freed memory, so a
+training step reuses the pages of the one before (``_keep_heap``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import itertools
 from contextlib import contextmanager
@@ -27,6 +31,34 @@ import numpy as np
 
 _UIDS = itertools.count()
 _grad_enabled = True
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap():
+    """Keep freed memory in the process instead of returning it to the OS.
+
+    A training step frees its graph and allocates the same buffers again in
+    the next step; by default glibc unmaps the large ones and trims the top
+    of the heap, and the next step faults every page back in.  Trimming is
+    turned off (-1), and the mmap threshold is fixed at 32 MiB, glibc's own
+    64-bit ceiling: setting the trim threshold alone also freezes the
+    dynamic mmap threshold at its small start value.  Freed memory stays
+    mapped until exit.  Does nothing where there is no glibc ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no glibc, or no dlopen(NULL)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * 1024 * 1024)
+    mallopt(_M_TRIM_THRESHOLD, -1)
+
+
+_keep_heap()
 
 
 @contextmanager
@@ -244,6 +276,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, np.swapaxes(a.values, -1, -2) @ g)
 
     return _op(out_vals, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add(matmul(x, w), b)`` as one node and one output buffer (the bias
+    is added in place), bitwise equal to that chain in forward and backward:
+    each parent gets the same single contribution the chain gives it."""
+    if x.values.ndim < 2 or w.values.ndim != 2 or x.values.shape[-1] != w.values.shape[0]:
+        raise ShapeError(f"linear needs [..., n] @ [n x m], got {x.shape} @ {w.shape}")
+    out_vals = x.values @ w.values
+    out_vals += b.values
+
+    def bw(g):
+        if x.requires_grad:
+            _accum(x, g @ np.swapaxes(w.values, -1, -2))
+        if w.requires_grad:
+            _accum(w, np.swapaxes(x.values, -1, -2) @ g)
+        _accum(b, g)
+
+    return _op(out_vals, (x, w, b), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -279,10 +279,11 @@ def cli_dispatch(argv) -> int:
                               "use --set for adjustments, not --config")
         cfg = _resolve_config(args)
         # numpy's overflow warnings would precede the one-line error; the
-        # finite checks on gradients, parameters and scores report instead
+        # finite checks on losses, gradients, parameters and scores report instead
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args, cfg)
-    except (ConfigError, CheckpointError, ValueError, OSError, op.NonFiniteGradientError) as exc:
+    except (ConfigError, CheckpointError, ValueError, OSError, op.NonFiniteGradientError,
+            op.NonFiniteLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -285,8 +285,8 @@ def _split_heads(model: DuVlgModel, x: Tensor) -> Tensor:
 
 
 def _kv_heads(model: DuVlgModel, attn: _Attention, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-    k = ad.add(ad.matmul(x_kv, attn.wk), attn.bk)
-    v = ad.add(ad.matmul(x_kv, attn.wv), attn.bv)
+    k = ad.linear(x_kv, attn.wk, attn.bk)
+    v = ad.linear(x_kv, attn.wv, attn.bv)
     return _split_heads(model, k), _split_heads(model, v)
 
 
@@ -356,7 +356,7 @@ def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor
     dh = d // model.cfg.n_heads
     b, tq, _ = x_q.shape
 
-    q = ad.add(ad.matmul(x_q, attn.wq), attn.bq)
+    q = ad.linear(x_q, attn.wq, attn.bq)
     kh, vh = _kv_heads(model, attn, x_kv) if cache is None else cache.keys_values(model, attn, x_kv)
     qh = _split_heads(model, q)
     tk = kh.shape[2]
@@ -368,11 +368,11 @@ def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor
     weights = ad.attention_weights(ad.matmul(qh, ad.swapaxes(kh, 2, 3)),
                                    1.0 / np.sqrt(dh), mask)
     gathered = ad.reshape(ad.swapaxes(ad.matmul(weights, vh), 1, 2), (b, tq, d))
-    return ad.add(ad.matmul(gathered, attn.wo), attn.bo)
+    return ad.linear(gathered, attn.wo, attn.bo)
 
 
 def _ffn(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+    return ad.linear(ad.gelu(ad.linear(x, w1, b1)), w2, b2)
 
 
 def pad_ragged(seqs, pad_id: int):

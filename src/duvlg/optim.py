@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ CAPTION_FINETUNE_LR = 3e-5
 
 class NonFiniteGradientError(RuntimeError):
     """A parameter gradient contains NaN or infinity."""
+
+
+class NonFiniteLossError(RuntimeError):
+    """A training step's loss term or total is NaN or infinity."""
 
 
 @dataclass
@@ -115,6 +120,12 @@ def make_optimizer(settings: TrainSettings, lr: float | None = None) -> OptimSta
 def _train_step(model, optim, batch, settings: TrainSettings, alpha: float) -> tuple[LossBreakdown, float]:
     terms = task_terms(batch, model, use_commitment=settings.use_commitment)
     loss, breakdown = total_loss(terms, alpha=alpha, beta=settings.beta)
+    # refuse before backward, so the error names the term and nothing moves
+    for name in (*terms, "l_total"):
+        value = getattr(breakdown, name)
+        if not math.isfinite(value):
+            raise NonFiniteLossError(f"non-finite loss {name}={value} in task "
+                                     f"{batch.kind.value!r} at step {optim.step_count}")
     model.zero_grad()
     ad.backward(loss)
     grad_norm = adam_step(model, optim)

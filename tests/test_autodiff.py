@@ -266,6 +266,8 @@ def test_all_ops_gradcheck_randomized(seed):
     tgt = rng.integers(0, 3, 6)
     mask = np.where(rng.uniform(size=(4, 6)) < 0.3, -np.inf, 0.0)
     mask[:, 0] = 0.0  # every row keeps a key
+    v = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    c = Tensor(rng.uniform(-0.5, 0.5, 3), requires_grad=True)
 
     def loss():
         rows = ad.gather_rows(table, ids)
@@ -279,12 +281,12 @@ def test_all_ops_gradcheck_randomized(seed):
         top = ad.narrow_rows(h, 0, 2)
         bottom = ad.narrow_rows(h, 2, 4)
         h = ad.concat([top, bottom, ad.mul(top, bottom)], axis=0)
-        logits = ad.matmul(h, w)
+        logits = ad.linear(ad.matmul(h, w), v, c)
         ce = ad.cross_entropy_logits(logits, tgt, ignore_mask=[False] * 4 + [True, True])
         se = ad.squared_error(ad.narrow_rows(h, 0, 2), ad.narrow_rows(h, 2, 4))
         return ad.add(ce, ad.mul(se, Tensor(0.5)))
 
-    for wrt in (x, g, b, table, w):
+    for wrt in (x, g, b, table, w, v, c):
         report = ad.grad_check(loss, wrt)
         assert report.max_rel_error < 1e-4, (wrt.shape, report)
 
@@ -402,6 +404,68 @@ def test_attention_weights_no_grad_matches_and_builds_no_graph():
     assert out.parents == () and not out.requires_grad
     assert np.array_equal(out.values, ref.values)
     assert np.array_equal(values, scores.values)  # the input is not overwritten
+
+
+def _chain_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+@pytest.mark.parametrize("case", ["2d", "3d", "constant x", "shared x"])
+def test_linear_bitwise_equals_unfused_chain(case):
+    rng = np.random.default_rng(8)
+    shape = (3, 5, 4) if case != "2d" else (5, 4)
+    xv = rng.normal(size=shape)
+    ws = [rng.normal(size=(4, 6)) for _ in range(3)]
+    bs = [rng.normal(size=6) for _ in range(3)]
+    upstream = rng.normal(size=shape[:-1] + (6,))
+    uses = 3 if case == "shared x" else 1  # q, k and v read one input
+    grads = []
+    for build in (_chain_linear, ad.linear):
+        x0 = Tensor(xv, requires_grad=case != "constant x")
+        x = ad.tanh(x0) if case == "shared x" else x0  # an interior input
+        w = [Tensor(a, requires_grad=True) for a in ws[:uses]]
+        b = [Tensor(a, requires_grad=True) for a in bs[:uses]]
+        outs = [build(x, wi, bi) for wi, bi in zip(w, b)]
+        loss = outs[0]
+        for o in outs[1:]:
+            loss = ad.mul(loss, o)
+        ad.backward(ad.mul(loss, Tensor(upstream)).sum())
+        grads.append([outs[0].values, x0.grad] + [t.grad for t in w + b])
+    ref, fused = grads
+    if case == "constant x":
+        assert ref[1] is None and fused[1] is None
+        ref, fused = ref[:1] + ref[2:], fused[:1] + fused[2:]
+    for a, r in zip(fused, ref):
+        assert np.array_equal(a, r)
+
+
+def test_linear_gradcheck_and_shapes():
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, 5), requires_grad=True)
+    tgt = rng.integers(0, 5, 6)
+
+    def loss():
+        return ad.cross_entropy_logits(ad.reshape(ad.linear(x, w, b), (6, 5)), tgt)
+
+    for wrt in (x, w, b):
+        assert ad.grad_check(loss, wrt).max_rel_error < 1e-4
+    for bad_x, bad_w in (((4,), (4, 5)), ((3, 5), (4, 5)), ((3, 4), (2, 4, 5))):
+        with pytest.raises(ad.ShapeError):
+            ad.linear(Tensor(np.zeros(bad_x)), Tensor(np.zeros(bad_w)), b)
+
+
+def test_linear_no_grad_returns_leaf():
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    b = Tensor(rng.normal(size=6), requires_grad=True)
+    ref = _chain_linear(x, w, b)
+    with ad.no_grad():
+        out = ad.linear(x, w, b)
+    assert out.parents == () and out._backward_fn is None and not out.requires_grad
+    assert np.array_equal(out.values, ref.values)
 
 
 def test_leaf_grads_are_owned_and_interior_grads_dropped():

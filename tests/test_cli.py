@@ -68,14 +68,35 @@ def _dispatch_recording_warnings(argv):
     return rc, caught
 
 
-def test_pretrain_non_finite_gradient_fails_in_one_line(tmp_path, data_file, capsys):
+def test_pretrain_non_finite_loss_fails_in_one_line(tmp_path, data_file, capsys):
     # lr=1e300 overflows the first update; the next forward pass is non-finite
     ckpt = tmp_path / "nan.ckpt"
     rc, caught = _dispatch_recording_warnings(
         ["pretrain", "--data", str(data_file), "--steps", "3",
          "--out", str(ckpt), "--set", "lr=1e300"] + SMALL)
     assert rc == 1
-    _one_error_line(capsys, "non-finite gradient")
+    _one_error_line(capsys, "non-finite loss")
+    assert not ckpt.exists()
+    assert [str(w.message) for w in caught] == []
+
+
+def test_pretrain_non_finite_gradient_fails_in_one_line(tmp_path, data_file, capsys, monkeypatch):
+    # the loss check stops a diverged run before backward, so a non-finite
+    # gradient behind a finite loss is injected: the first step's gradient
+    # is poisoned before Adam reads it
+    adam_step = op.adam_step
+
+    def poison_then_step(model, state):
+        model.text_embed.grad[0, 0] = np.inf
+        return adam_step(model, state)
+
+    monkeypatch.setattr("duvlg.optim.adam_step", poison_then_step)
+    ckpt = tmp_path / "nan.ckpt"
+    rc, caught = _dispatch_recording_warnings(
+        ["pretrain", "--data", str(data_file), "--steps", "3",
+         "--out", str(ckpt)] + SMALL)
+    assert rc == 1
+    _one_error_line(capsys, "non-finite gradient in 'text_embed' at step 0")
     assert not ckpt.exists()
     assert [str(w.message) for w in caught] == []
 
