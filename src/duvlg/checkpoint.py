@@ -128,9 +128,7 @@ def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
         "config": config_dict(cfg),
         "step": int(step),
         "rng_state": _rng_state(rng),
-        "optim": {"lr": optim.lr, "beta1": optim.beta1, "beta2": optim.beta2,
-                  "eps": optim.eps, "clip_norm": optim.clip_norm,
-                  "step_count": optim.step_count},
+        "optim": {k: getattr(optim, k) for k in _OPTIM_KEYS},
         "records": records,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -168,10 +166,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     rng = _restore_rng(path, header["rng_state"])
     cfg = config_from_dict(header["config"])
     model, vocab = build_model(cfg)
-    optim = OptimState(lr=header["optim"]["lr"], beta1=header["optim"]["beta1"],
-                       beta2=header["optim"]["beta2"], eps=header["optim"]["eps"],
-                       clip_norm=header["optim"]["clip_norm"],
-                       step_count=header["optim"]["step_count"])
+    optim = OptimState(**{k: header["optim"][k] for k in _OPTIM_KEYS})
 
     arrays = {}
     for name, shape in header["records"]:

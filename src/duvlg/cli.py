@@ -7,6 +7,7 @@ runs whose printed configs and seeds match produce identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from . import optim as op
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .codec import VisualCodebook, load_image, save_image
 from .config import (ConfigError, RunConfig, apply_overrides, build_model,
-                     format_config, load_config, to_decode_config, to_train_settings)
+                     format_config, load_config, to_decode_config)
 from .gradcheck import run_gradient_audit
 from .objectives import TaskKind
 
@@ -59,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, choices=("caption", "t2i"))
     p.add_argument("--epochs", required=True, type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr", type=float, help="defaults to the task's standard lr")
     p.add_argument("--log")
 
     p = sub.add_parser("caption", help="caption one image file")
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--caption", required=True)
-    p.add_argument("--n", type=int, help="samples per caption (default from config)")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("eval", help="held-out NLLs, BLEU-4, exact match")
@@ -134,12 +133,15 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
         loaded = load_checkpoint(args.resume)
         cfg = _apply_cli_flags(loaded.config, args)
         model, vocab = loaded.model, loaded.vocab
-        optim, rng, start_step = loaded.optim, loaded.rng, loaded.step
+        rng, start_step = loaded.rng, loaded.step
+        # the moments continue; Adam's settings are the printed config's
+        optim = dataclasses.replace(op.make_optimizer(cfg), step_count=loaded.optim.step_count,
+                                    m=loaded.optim.m, v=loaded.optim.v)
         _print_config(cfg)
     else:
         _print_config(cfg)
         model, vocab = build_model(cfg)
-        optim = op.make_optimizer(to_train_settings(cfg))
+        optim = op.make_optimizer(cfg)
         rng = np.random.default_rng(cfg.seed)
         start_step = 0
     dataset = _load_dataset(args.data, cfg, model, vocab)
@@ -148,8 +150,8 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
         print(op.LOG_HEADER)
         log_fn = print
     try:
-        op.pretrain(dataset, model, args.steps, to_train_settings(cfg), rng,
-                    optim=optim, log_fn=log_fn, start_step=start_step)
+        op.pretrain(dataset, model, args.steps, cfg, rng, optim=optim, log_fn=log_fn,
+                    start_step=start_step)
     finally:
         if log_fh:
             log_fh.close()
@@ -164,17 +166,12 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
     _print_config(cfg)
     model, vocab = loaded.model, loaded.vocab
     task = TaskKind.MT_CAPTION if args.task == "caption" else TaskKind.MT_T2I
-    settings = to_train_settings(cfg)
-    lr = args.lr
-    if lr is None:
-        lr = cfg.caption_lr if task is TaskKind.MT_CAPTION else cfg.t2i_lr
     dataset = _load_dataset(args.data, cfg, model, vocab)
     rng = np.random.default_rng(cfg.seed)
-    optim = op.make_optimizer(settings, lr=lr)
+    optim = op.make_optimizer(cfg, task)
     log_fh, log_fn = _open_log(args.log)
     try:
-        op.finetune(dataset, model, task, args.epochs, settings, rng,
-                    lr=lr, optim=optim, log_fn=log_fn)
+        op.finetune(dataset, model, task, args.epochs, cfg, rng, optim=optim, log_fn=log_fn)
     finally:
         if log_fh:
             log_fh.close()
@@ -199,7 +196,7 @@ def _cmd_imagine(args, cfg: RunConfig) -> int:
     _print_config(cfg)
     model, vocab = loaded.model, loaded.vocab
     caption = dat.encode_text(args.caption, vocab)
-    decode_cfg = to_decode_config(cfg, "nucleus", "image", n_samples=args.n)
+    decode_cfg = to_decode_config(cfg, "nucleus", "image")
     rng = np.random.default_rng(cfg.seed)
     images = dec.generate_image(model, caption, decode_cfg, rng, cfg.grid_dims())
     out_dir = Path(args.out_dir)
@@ -225,9 +222,8 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     subset = {"train": train, "val": val, "all": dataset}[args.split]
     if not subset:
         raise ConfigError(f"split {args.split!r} selected no examples")
-    settings = to_train_settings(cfg)
-    caption_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_CAPTION, settings)
-    image_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_T2I, settings)
+    caption_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_CAPTION, cfg)
+    image_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_T2I, cfg)
     decode_cfg = to_decode_config(cfg, "beam", "text")
     bleus, exact = [], 0
     for ex in subset:

@@ -15,8 +15,6 @@ from .codec import PatchFeaturizer, VisualCodebook
 from .data import TextVocab
 from .decoding import DecodeConfig
 from .model import DuVlgModel, ModelConfig, init_model
-from .objectives import CorruptionConfig
-from .optim import TrainSettings
 
 
 class ConfigError(ValueError):
@@ -93,6 +91,15 @@ class RunConfig:
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
         if not self.clip_norm >= 0:
             raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
+        if not (math.isfinite(self.span_lambda) and self.span_lambda >= 0):
+            raise ConfigError(f"span_lambda must be finite and >= 0, got {self.span_lambda}")
+        if self.min_block < 1:
+            raise ConfigError(f"min_block must be >= 1, got {self.min_block}")
+        if self.max_block < self.min_block:
+            raise ConfigError(f"max_block must be >= min_block ({self.min_block}), "
+                              f"got {self.max_block}")
+        if not 0 < self.aspect_min <= 1:
+            raise ConfigError(f"aspect_min must be in (0, 1], got {self.aspect_min}")
 
     def grid_dims(self) -> tuple[int, int]:
         if self.image_size % self.patch_size:
@@ -199,29 +206,18 @@ def to_model_config(cfg: RunConfig, vocab: TextVocab) -> ModelConfig:
         raise ConfigError(str(exc)) from None
 
 
-def to_corruption_config(cfg: RunConfig) -> CorruptionConfig:
-    return CorruptionConfig(image_mask_rate=cfg.image_mask_rate,
-                            text_mask_rate=cfg.text_mask_rate,
-                            span_lambda=cfg.span_lambda, min_block=cfg.min_block,
-                            max_block=cfg.max_block, aspect_min=cfg.aspect_min)
+def to_train_settings(cfg: RunConfig) -> RunConfig:
+    """``cfg`` itself: training reads the RunConfig directly.  Kept only
+    because the benchmark's workloads (perfbench/workloads.py) still call it."""
+    return cfg
 
 
-def to_train_settings(cfg: RunConfig) -> TrainSettings:
-    return TrainSettings(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                         adam_eps=cfg.adam_eps, clip_norm=cfg.clip_norm,
-                         batch_size=cfg.batch_size, alpha=cfg.alpha, beta=cfg.beta,
-                         p_dae=cfg.p_dae, use_image_loss=cfg.use_image_loss,
-                         use_text_loss=cfg.use_text_loss,
-                         use_commitment=cfg.use_commitment,
-                         corruption=to_corruption_config(cfg))
-
-
-def to_decode_config(cfg: RunConfig, strategy: str = "beam", modality: str = "text",
-                     n_samples: int | None = None) -> DecodeConfig:
+def to_decode_config(cfg: RunConfig, strategy: str = "beam",
+                     modality: str = "text") -> DecodeConfig:
     return DecodeConfig(strategy=strategy, beam_size=cfg.beam_size, top_p=cfg.top_p,
-                        k=cfg.top_k, n_samples=cfg.n_samples if n_samples is None else n_samples,
-                        max_len=cfg.max_decode_len, temperature=cfg.temperature,
-                        modality=modality, length_norm=cfg.length_norm)
+                        k=cfg.top_k, n_samples=cfg.n_samples, max_len=cfg.max_decode_len,
+                        temperature=cfg.temperature, modality=modality,
+                        length_norm=cfg.length_norm)
 
 
 def build_model(cfg: RunConfig) -> tuple[DuVlgModel, TextVocab]:

@@ -38,22 +38,27 @@ def blockwise_mask(rows: int, cols: int, rate: float, rng: np.random.Generator,
 
     Each placed rectangle covers between min(min_block, grid) and max_block
     patches, so the final count overshoots the target by less than max_block.
+    Raises ValueError, before any draw, when no draw can place a rectangle.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
+    if min_block < 1 or not aspect_min > 0:
+        raise ValueError(f"need min_block >= 1 and aspect_min > 0, got {min_block} "
+                         f"and {aspect_min}")
     n = rows * cols
     target = math.ceil(rate * n)
     masked = np.zeros((rows, cols), dtype=bool)
     min_eff = min(min_block, n)
     max_eff = min(max_block, n)
+    if not _can_place(rows, cols, min_eff, max_block, aspect_min):
+        raise ValueError(f"no block of {min_eff}..{max_block} patches with aspect in "
+                         f"[{aspect_min}, 1/{aspect_min}] fits a {rows}x{cols} grid")
     log_lo, log_hi = math.log(aspect_min), math.log(1.0 / aspect_min)
 
     count = 0
     while count < target:
         area = int(rng.integers(min_eff, max_eff + 1))
-        aspect = math.exp(rng.uniform(log_lo, log_hi))
-        h = min(max(int(round(math.sqrt(area * aspect))), 1), rows)
-        w = min(max(int(round(math.sqrt(area / aspect))), 1), cols)
+        h, w = _block_dims(area, math.exp(rng.uniform(log_lo, log_hi)), rows, cols)
         if not min_eff <= h * w <= max_block:
             continue
         r0 = int(rng.integers(0, rows - h + 1))
@@ -61,6 +66,34 @@ def blockwise_mask(rows: int, cols: int, rate: float, rng: np.random.Generator,
         masked[r0:r0 + h, c0:c0 + w] = True
         count = int(masked.sum())
     return PatchMask(grid_dims=(rows, cols), masked=masked)
+
+
+def _block_dims(area: int, aspect: float, rows: int, cols: int) -> tuple[int, int]:
+    """The height and width a drawn area and aspect round to, clipped to the grid."""
+    h = min(max(int(round(math.sqrt(area * aspect))), 1), rows)
+    w = min(max(int(round(math.sqrt(area / aspect))), 1), cols)
+    return h, w
+
+
+def _can_place(rows: int, cols: int, min_eff: int, max_block: int, aspect_min: float) -> bool:
+    """Whether some draw of blockwise_mask yields an accepted rectangle.
+
+    For a fixed area the rounded height and width change only where
+    sqrt(area * aspect) or sqrt(area / aspect) crosses a half integer, so
+    one aspect inside each interval between those cuts decides for the
+    whole interval.  Testing h / w against [aspect_min, 1 / aspect_min] is
+    not enough: rounding also reaches rectangles outside that range.
+    """
+    lo, hi = aspect_min, 1.0 / aspect_min
+    for area in range(min_eff, min(max_block, rows * cols) + 1):
+        cuts = [(k + 0.5) ** 2 / area for k in range(1, rows)]
+        cuts += [area / (k + 0.5) ** 2 for k in range(1, cols)]
+        points = sorted([lo, hi, *(c for c in cuts if lo < c < hi)])
+        for a, b in zip(points, points[1:]):
+            h, w = _block_dims(area, (a + b) / 2, rows, cols)
+            if min_eff <= h * w <= max_block:
+                return True
+    return False
 
 
 def span_infill(tokens, rate: float, lam: float, rng: np.random.Generator,

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .codec import ImageGrid, PatchFeaturizer, VisualCodebook
+from .config import RunConfig
 from .data import TextVocab
 from .model import ModelConfig, N_SPECIALS, init_model
-from .objectives import (CorruptionConfig, TaskKind, build_task_batch, loss_commitment,
-                         task_nll)
+from .objectives import TaskKind, build_task_batch, loss_commitment, task_nll
 
 AUDIT_TOLERANCE = 1e-4
 
@@ -62,7 +62,7 @@ def run_gradient_audit(h: float = 1e-5, seed: int = 0, beta: float = 1.0) -> lis
     codebook = VisualCodebook.build(cfg.visual_vocab, 6, patch_size)
     model = init_model(cfg, seed, featurizer=featurizer, codebook=codebook)
     examples = [_micro_example(cfg, patch_size, seed + i) for i in range(2)]
-    corruption = CorruptionConfig()
+    corruption = RunConfig()  # the default mask rates and block and span shapes
 
     audits = []
     with ad.no_cyclic_gc():

@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .codec import tokenize_image
+from .config import RunConfig
 from .corruption import blockwise_mask, span_infill
 from .model import (SPECIALS, DuVlgModel, decode_forward_batch, encode_batch,
                     pad_ragged, visual_to_unified)
@@ -30,16 +31,6 @@ class TaskKind(enum.Enum):
 
 IMAGE_TARGET_KINDS = (TaskKind.DAE_IMAGE, TaskKind.MT_T2I)
 TEXT_TARGET_KINDS = (TaskKind.DAE_TEXT, TaskKind.MT_CAPTION)
-
-
-@dataclass(frozen=True)
-class CorruptionConfig:
-    image_mask_rate: float = 0.5
-    text_mask_rate: float = 0.5
-    span_lambda: float = 3.0
-    min_block: int = 4
-    max_block: int = 16
-    aspect_min: float = 0.3
 
 
 @dataclass
@@ -59,13 +50,13 @@ class TaskBatch:
 
 
 def build_task_batch(examples, kind: TaskKind, rng: np.random.Generator,
-                     model: DuVlgModel, corruption: CorruptionConfig) -> TaskBatch:
-    """Corrupt/arrange a list of paired examples for one task kind."""
+                     model: DuVlgModel, cfg: RunConfig) -> TaskBatch:
+    """Corrupt/arrange a list of paired examples for one task kind, with the
+    mask rates and block and span shapes of ``cfg``."""
     if not examples:
         raise ValueError("empty example list")
     if model.featurizer is None or model.codebook is None:
         raise ValueError("model has no featurizer/codebook attached")
-    cfg = model.cfg
     enc_text, enc_patches, enc_mask = [], [], []
     targets, clean_feats, clean_vis = [], [], []
 
@@ -73,7 +64,7 @@ def build_task_batch(examples, kind: TaskKind, rng: np.random.Generator,
         feats = model.featurizer.featurize_image(ex.image)
         if kind in IMAGE_TARGET_KINDS:
             vis = tokenize_image(ex.image, model.codebook)
-            uni = visual_to_unified(vis, cfg)
+            uni = visual_to_unified(vis, model.cfg)
             tgt = np.concatenate(([SPECIALS.boi], uni, [SPECIALS.eoi]))
             clean_feats.append(feats)
             clean_vis.append(vis)
@@ -84,16 +75,15 @@ def build_task_batch(examples, kind: TaskKind, rng: np.random.Generator,
 
         if kind is TaskKind.DAE_IMAGE:
             rows, cols = feats.grid_dims
-            mask = blockwise_mask(rows, cols, corruption.image_mask_rate, rng,
-                                  min_block=corruption.min_block,
-                                  max_block=corruption.max_block,
-                                  aspect_min=corruption.aspect_min)
+            mask = blockwise_mask(rows, cols, cfg.image_mask_rate, rng,
+                                  min_block=cfg.min_block, max_block=cfg.max_block,
+                                  aspect_min=cfg.aspect_min)
             enc_text.append(ex.caption)
             enc_patches.append(feats)
             enc_mask.append(mask)
         elif kind is TaskKind.DAE_TEXT:
-            corrupted = span_infill(ex.caption, corruption.text_mask_rate,
-                                    corruption.span_lambda, rng, mask_id=SPECIALS.mask)
+            corrupted = span_infill(ex.caption, cfg.text_mask_rate, cfg.span_lambda, rng,
+                                    mask_id=SPECIALS.mask)
             enc_text.append(corrupted.corrupted)
             enc_patches.append(feats)
             enc_mask.append(None)

@@ -8,16 +8,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .model import DuVlgModel
-from .objectives import (CorruptionConfig, LossBreakdown, TaskKind, build_task_batch,
-                         sample_task, task_nll, task_terms, total_loss)
+from .objectives import (LossBreakdown, TaskKind, build_task_batch, sample_task, task_nll,
+                         task_terms, total_loss)
 
-T2I_FINETUNE_LR = 1e-4
-CAPTION_FINETUNE_LR = 3e-5
+# the config key of each fine-tuning task's learning rate
+_FINETUNE_LR_KEY = {TaskKind.MT_CAPTION: "caption_lr", TaskKind.MT_T2I: "t2i_lr"}
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A parameter gradient contains NaN or infinity."""
+    """A parameter gradient or the global gradient norm is NaN or infinity."""
 
 
 class NonFiniteLossError(RuntimeError):
@@ -26,11 +27,13 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class OptimState:
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0
+    """Adam's hyperparameters (from ``make_optimizer`` or a checkpoint) and moments."""
+
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    clip_norm: float
     step_count: int = 0
     m: dict = field(default_factory=dict)  # param name -> first moment
     v: dict = field(default_factory=dict)  # param name -> second moment
@@ -40,7 +43,9 @@ def adam_step(model: DuVlgModel, state: OptimState) -> float:
     """Clip the global gradient norm, then apply a bias-corrected Adam update.
 
     Returns the pre-clip global norm.  Parameters whose grad is unset are
-    treated as zero-gradient.
+    treated as zero-gradient.  A non-finite gradient or global norm (a finite
+    gradient whose square overflows) raises before any moment or parameter
+    changes.
     """
     grads = {}
     sq_sum = 0.0
@@ -52,6 +57,9 @@ def adam_step(model: DuVlgModel, state: OptimState) -> float:
         grads[name] = g
         sq_sum += float((g * g).sum())
     norm = float(np.sqrt(sq_sum))
+    if not math.isfinite(norm):
+        raise NonFiniteGradientError(
+            f"non-finite global gradient norm at step {state.step_count}")
 
     scale = 1.0
     if state.clip_norm > 0 and norm > state.clip_norm:
@@ -77,23 +85,6 @@ def adam_step(model: DuVlgModel, state: OptimState) -> float:
     return norm
 
 
-@dataclass(frozen=True)
-class TrainSettings:
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float = 1.0
-    batch_size: int = 16
-    alpha: float = 0.05
-    beta: float = 1.0
-    p_dae: float = 0.6
-    use_image_loss: bool = True
-    use_text_loss: bool = True
-    use_commitment: bool = True
-    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
-
-
 @dataclass
 class StepRecord:
     step: int
@@ -111,15 +102,17 @@ def format_log_line(rec: StepRecord) -> str:
 LOG_HEADER = "step\ttask\tl_total\tl_text\tl_image\tl_com\tgrad_norm"
 
 
-def make_optimizer(settings: TrainSettings, lr: float | None = None) -> OptimState:
-    return OptimState(lr=settings.lr if lr is None else lr, beta1=settings.beta1,
-                      beta2=settings.beta2, eps=settings.adam_eps,
-                      clip_norm=settings.clip_norm)
+def make_optimizer(cfg: RunConfig, task: TaskKind | None = None) -> OptimState:
+    """Fresh Adam state at the lr of pre-training (``task`` None: ``cfg.lr``)
+    or of fine-tuning on ``task`` (``cfg.caption_lr`` or ``cfg.t2i_lr``)."""
+    lr = cfg.lr if task is None else getattr(cfg, _FINETUNE_LR_KEY[task])
+    return OptimState(lr=lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps,
+                      clip_norm=cfg.clip_norm)
 
 
-def _train_step(model, optim, batch, settings: TrainSettings, alpha: float) -> tuple[LossBreakdown, float]:
-    terms = task_terms(batch, model, use_commitment=settings.use_commitment)
-    loss, breakdown = total_loss(terms, alpha=alpha, beta=settings.beta)
+def _train_step(model, optim, batch, cfg: RunConfig, alpha: float) -> tuple[LossBreakdown, float]:
+    terms = task_terms(batch, model, use_commitment=cfg.use_commitment)
+    loss, breakdown = total_loss(terms, alpha=alpha, beta=cfg.beta)
     # refuse before backward, so the error names the term and nothing moves
     for name in (*terms, "l_total"):
         value = getattr(breakdown, name)
@@ -132,7 +125,7 @@ def _train_step(model, optim, batch, settings: TrainSettings, alpha: float) -> t
     return breakdown, grad_norm
 
 
-def pretrain(dataset, model: DuVlgModel, steps: int, settings: TrainSettings,
+def pretrain(dataset, model: DuVlgModel, steps: int, cfg: RunConfig,
              rng: np.random.Generator, optim: OptimState | None = None,
              log_fn=None, start_step: int = 0) -> list[StepRecord]:
     """Mixed-task pre-training: sample a task, corrupt a batch, descend.
@@ -142,16 +135,15 @@ def pretrain(dataset, model: DuVlgModel, steps: int, settings: TrainSettings,
     if not dataset:
         raise ValueError("empty dataset")
     if optim is None:
-        optim = make_optimizer(settings)
+        optim = make_optimizer(cfg)
     records = []
     with ad.no_cyclic_gc():
         for i in range(steps):
-            kind = sample_task(rng, settings.p_dae, allow_image=settings.use_image_loss,
-                               allow_text=settings.use_text_loss)
-            idx = rng.integers(0, len(dataset), size=settings.batch_size)
-            batch = build_task_batch([dataset[int(j)] for j in idx], kind, rng,
-                                     model, settings.corruption)
-            breakdown, grad_norm = _train_step(model, optim, batch, settings, settings.alpha)
+            kind = sample_task(rng, cfg.p_dae, allow_image=cfg.use_image_loss,
+                               allow_text=cfg.use_text_loss)
+            idx = rng.integers(0, len(dataset), size=cfg.batch_size)
+            batch = build_task_batch([dataset[int(j)] for j in idx], kind, rng, model, cfg)
+            breakdown, grad_norm = _train_step(model, optim, batch, cfg, cfg.alpha)
             rec = StepRecord(step=start_step + i, task=kind, breakdown=breakdown,
                              grad_norm=grad_norm)
             records.append(rec)
@@ -160,30 +152,27 @@ def pretrain(dataset, model: DuVlgModel, steps: int, settings: TrainSettings,
     return records
 
 
-def finetune(dataset, model: DuVlgModel, task: TaskKind, epochs: int,
-             settings: TrainSettings, rng: np.random.Generator,
-             lr: float | None = None, optim: OptimState | None = None,
+def finetune(dataset, model: DuVlgModel, task: TaskKind, epochs: int, cfg: RunConfig,
+             rng: np.random.Generator, optim: OptimState | None = None,
              log_fn=None) -> list[StepRecord]:
     """Single-task training; MT_T2I keeps beta * commitment, captioning never
-    touches image-target losses.  Default lrs follow the task."""
-    if task not in (TaskKind.MT_CAPTION, TaskKind.MT_T2I):
+    touches image-target losses.  A fresh optimizer takes the task's lr."""
+    if task not in _FINETUNE_LR_KEY:
         raise ValueError(f"finetune supports modality translation tasks, not {task}")
     if not dataset:
         raise ValueError("empty dataset")
-    if lr is None:
-        lr = T2I_FINETUNE_LR if task is TaskKind.MT_T2I else CAPTION_FINETUNE_LR
     if optim is None:
-        optim = make_optimizer(settings, lr=lr)
+        optim = make_optimizer(cfg, task)
     records = []
     step = 0
     with ad.no_cyclic_gc():
         for _ in range(epochs):
             order = rng.permutation(len(dataset))
-            for lo in range(0, len(dataset), settings.batch_size):
-                chunk = [dataset[int(j)] for j in order[lo:lo + settings.batch_size]]
-                batch = build_task_batch(chunk, task, rng, model, settings.corruption)
+            for lo in range(0, len(dataset), cfg.batch_size):
+                chunk = [dataset[int(j)] for j in order[lo:lo + cfg.batch_size]]
+                batch = build_task_batch(chunk, task, rng, model, cfg)
                 # single-task objective: no cross-modality mixing weight
-                breakdown, grad_norm = _train_step(model, optim, batch, settings, alpha=1.0)
+                breakdown, grad_norm = _train_step(model, optim, batch, cfg, alpha=1.0)
                 rec = StepRecord(step=step, task=task, breakdown=breakdown, grad_norm=grad_norm)
                 records.append(rec)
                 if log_fn is not None:
@@ -192,9 +181,8 @@ def finetune(dataset, model: DuVlgModel, task: TaskKind, epochs: int,
     return records
 
 
-def evaluate_task_nll(dataset, model: DuVlgModel, kind: TaskKind,
-                      settings: TrainSettings, seed: int = 0,
-                      batch_size: int = 16) -> float:
+def evaluate_task_nll(dataset, model: DuVlgModel, kind: TaskKind, cfg: RunConfig,
+                      seed: int = 0, batch_size: int = 16) -> float:
     """Deterministic held-out NLL for one task (fixed corruption seed),
     computed without building autograd graphs."""
     rng = np.random.default_rng(seed)
@@ -202,7 +190,7 @@ def evaluate_task_nll(dataset, model: DuVlgModel, kind: TaskKind,
     with ad.no_grad():
         for lo in range(0, len(dataset), batch_size):
             chunk = dataset[lo:lo + batch_size]
-            batch = build_task_batch(chunk, kind, rng, model, settings.corruption)
+            batch = build_task_batch(chunk, kind, rng, model, cfg)
             weight = sum(len(t) - 1 for t in batch.targets)
             total += task_nll(batch, model).item() * weight
             n += weight

@@ -121,12 +121,39 @@ def test_pretrain_refuses_non_finite_checkpoint(tmp_path, data_file, capsys, mon
     assert [str(w.message) for w in caught] == []
 
 
+def test_pretrain_overflowing_gradient_norm_fails_at_the_step(tmp_path, data_file, capsys):
+    # without clipping, lr=1e50 gives a finite step-1 gradient whose square
+    # overflows; Adam's second moment used to turn inf and fail only at the save
+    ckpt = tmp_path / "big.ckpt"
+    rc, caught = _dispatch_recording_warnings(
+        ["pretrain", "--data", str(data_file), "--steps", "6", "--out", str(ckpt),
+         "--set", "lr=1e50", "--set", "clip_norm=0"] + SMALL)
+    assert rc == 1
+    _one_error_line(capsys, "non-finite global gradient norm at step 1")
+    assert not ckpt.exists()
+    assert [str(w.message) for w in caught] == []
+
+
+def test_pretrain_unplaceable_mask_block_fails_in_one_line(tmp_path, data_file, capsys):
+    # no 5-patch block fits the small config's 4x4 grid; the first inpainting
+    # step used to draw rectangles forever
+    ckpt = tmp_path / "block.ckpt"
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "30",
+                       "--out", str(ckpt), "--set", "min_block=5", "--set", "max_block=5"]
+                      + SMALL)
+    assert rc == 1
+    _one_error_line(capsys, "no block of 5..5 patches")
+    assert not ckpt.exists()
+
+
 _OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t2i_lr=-1e-4",
                  "caption_lr=nan", "p_dae=1.5", "p_dae=-0.1", "image_mask_rate=2",
                  "text_mask_rate=nan", "val_frac=1.01", "top_p=0", "top_p=1.5",
                  "clip_norm=-1", "clip_norm=nan", "adam_eps=0", "adam_eps=-1e-8",
                  "adam_eps=nan", "adam_eps=inf", "adam_beta1=1", "adam_beta1=-0.1",
-                 "adam_beta2=1", "adam_beta2=nan"]
+                 "adam_beta2=1", "adam_beta2=nan", "min_block=0", "max_block=3",
+                 "aspect_min=0", "aspect_min=1.5", "aspect_min=nan", "span_lambda=-1",
+                 "span_lambda=nan", "span_lambda=inf"]
 
 
 @pytest.mark.parametrize("setting", _OUT_OF_RANGE)
@@ -246,7 +273,7 @@ def test_finetune_caption_and_eval(tmp_path, data_file, capsys):
     tuned = tmp_path / "tuned.ckpt"
     rc = cli_dispatch(["finetune", "--data", str(data_file), "--ckpt", str(base),
                        "--task", "caption", "--epochs", "1", "--out", str(tuned),
-                       "--lr", "0.001"])
+                       "--set", "caption_lr=0.001"])
     assert rc == 0
     rc = cli_dispatch(["eval", "--ckpt", str(tuned), "--data", str(data_file),
                        "--split", "all"])
@@ -256,13 +283,48 @@ def test_finetune_caption_and_eval(tmp_path, data_file, capsys):
     assert "bleu4\t" in out and "exact_match\t" in out
 
 
+@pytest.mark.parametrize("command, key", [("pretrain", "lr"), ("resume", "lr"),
+                                          ("caption", "caption_lr"), ("t2i", "t2i_lr")])
+def test_training_lr_is_the_printed_and_stored_config_value(tmp_path, data_file, capsys,
+                                                           command, key):
+    # resuming used to print and store the new lr but train at the old one
+    base, out = tmp_path / "base.ckpt", tmp_path / "out.ckpt"
+    lr = ["--set", f"{key}=0.00123"]
+    if command == "pretrain":
+        argv = ["pretrain", "--data", str(data_file), "--steps", "2", "--out", str(out)]
+        argv += lr + SMALL
+    else:
+        assert cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1",
+                             "--out", str(base)] + SMALL) == 0
+        argv = ["pretrain", "--data", str(data_file), "--steps", "1", "--resume", str(base)] \
+            if command == "resume" else ["finetune", "--data", str(data_file), "--ckpt",
+                                         str(base), "--task", command, "--epochs", "1"]
+        argv += ["--out", str(out)] + lr
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 0
+    assert f"\n{key}=0.00123\n" in capsys.readouterr().out
+    loaded = ck.load_checkpoint(out)
+    assert loaded.optim.lr == getattr(loaded.config, key) == 0.00123
+
+
+@pytest.mark.parametrize("argv", [
+    ["finetune", "--data", "d", "--ckpt", "c", "--task", "caption", "--epochs", "1",
+     "--out", "o", "--lr", "0.001"],
+    ["imagine", "--ckpt", "c", "--caption", "a", "--out-dir", "o", "--n", "3"],
+])
+def test_flags_that_bypassed_the_printed_config_are_gone(argv, capsys):
+    # --set caption_lr=, t2i_lr= and n_samples= are printed and stored instead
+    assert cli_dispatch(argv) == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_imagine_writes_samples_and_choice(tmp_path, data_file, capsys):
     base = tmp_path / "base.ckpt"
     cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1",
                   "--out", str(base)] + SMALL)
     out_dir = tmp_path / "samples"
     rc = cli_dispatch(["imagine", "--ckpt", str(base), "--caption",
-                       "a red block at top left", "--n", "5",
+                       "a red block at top left", "--set", "n_samples=5",
                        "--out-dir", str(out_dir)])
     assert rc == 0
     files = sorted(out_dir.glob("sample_*.duvlg"))
@@ -277,7 +339,7 @@ def test_caption_command_runs(tmp_path, data_file, capsys):
                   "--out", str(base)] + SMALL)
     out_dir = tmp_path / "samples"
     cli_dispatch(["imagine", "--ckpt", str(base), "--caption",
-                  "a red block at center", "--n", "1", "--out-dir", str(out_dir)])
+                  "a red block at center", "--set", "n_samples=1", "--out-dir", str(out_dir)])
     capsys.readouterr()
     rc = cli_dispatch(["caption", "--ckpt", str(base), "--image",
                        str(out_dir / "sample_00.duvlg")])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duvlg.corruption import blockwise_mask, span_infill
+from duvlg.corruption import _can_place, blockwise_mask, span_infill
 
 MASK = 3
 
@@ -65,6 +65,50 @@ def test_blockwise_deterministic():
     a = blockwise_mask(10, 10, 0.4, np.random.default_rng(7))
     b = blockwise_mask(10, 10, 0.4, np.random.default_rng(7))
     assert np.array_equal(a.masked, b.masked)
+
+
+@pytest.mark.parametrize("rows, cols, min_block, max_block", [
+    (8, 8, 5, 5),  # only 1x5 has 5 patches, and its aspect 0.2 is below 0.3
+    (4, 4, 5, 5),  # 1x5 does not even fit
+    (2, 2, 3, 3),  # 1x3 does not fit; clipping gives 1x2 or 2x2
+])
+def test_blockwise_unplaceable_block_raises_before_drawing(rows, cols, min_block, max_block):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no block of"):
+        blockwise_mask(rows, cols, 0.5, rng, min_block=min_block, max_block=max_block)
+    assert rng.bit_generator.state == state
+
+
+def test_blockwise_block_reached_only_by_rounding_is_placed():
+    # 1x2 has aspect 0.5 < aspect_min, yet area 2 at aspect 0.7 rounds to 1x2
+    mask = blockwise_mask(8, 8, 0.5, np.random.default_rng(0), min_block=2, max_block=2,
+                          aspect_min=0.7)
+    assert mask.count >= 32
+
+
+def _placeable_by_sampling(rows, cols, min_eff, max_block, aspect_min):
+    """Reference for _can_place: every area at 4001 aspects, rounded and
+    clipped as blockwise_mask does (np.rint rounds half to even, as round)."""
+    aspect = np.exp(np.linspace(np.log(aspect_min), -np.log(aspect_min), 4001))
+    area = np.arange(min_eff, min(max_block, rows * cols) + 1)[:, None]
+    h = np.clip(np.rint(np.sqrt(area * aspect)), 1, rows)
+    w = np.clip(np.rint(np.sqrt(area / aspect)), 1, cols)
+    return bool(((min_eff <= h * w) & (h * w <= max_block)).any())
+
+
+def test_can_place_matches_dense_sampling():
+    unplaceable = 0
+    for rows, cols in [(8, 8), (4, 4), (2, 8), (1, 5), (3, 7)]:
+        for min_block in range(1, 12):
+            min_eff = min(min_block, rows * cols)
+            for max_block in range(min_block, 16):
+                for aspect_min in (0.1, 0.3, 0.5, 0.7, 1.0):
+                    expect = _placeable_by_sampling(rows, cols, min_eff, max_block, aspect_min)
+                    assert _can_place(rows, cols, min_eff, max_block, aspect_min) == expect, \
+                        (rows, cols, min_block, max_block, aspect_min)
+                    unplaceable += not expect
+    assert unplaceable > 0
 
 
 def test_span_rate_zero_identity():

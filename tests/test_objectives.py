@@ -10,14 +10,15 @@ from duvlg.autodiff import Tensor
 from duvlg.codec import PatchFeaturizer, VisualCodebook
 from duvlg.data import TextVocab, gen_dataset
 from duvlg.model import SPECIALS, ModelConfig, N_SPECIALS
-from duvlg.objectives import CorruptionConfig, TaskKind
+from duvlg.config import RunConfig
+from duvlg.objectives import TaskKind
 
 
 CFG = ModelConfig(d_model=16, n_layers_enc=1, n_layers_dec=1, n_heads=2, d_ff=32,
                   text_vocab=17, visual_vocab=16, max_text_len=24, max_patches=16,
                   d_feat=8)
 GRID = (4, 4)
-CORR = CorruptionConfig()
+CORR = RunConfig()
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,9 @@ from duvlg import optim as op
 from duvlg.codec import PatchFeaturizer, VisualCodebook
 from duvlg.data import TextVocab, gen_dataset
 from duvlg.model import ModelConfig
+from duvlg.config import RunConfig
 from duvlg.objectives import TaskKind
-from duvlg.optim import OptimState, StepRecord, TrainSettings, adam_step
+from duvlg.optim import adam_step
 
 
 CFG = ModelConfig(d_model=16, n_layers_enc=1, n_layers_dec=1, n_heads=2, d_ff=32,
@@ -41,7 +42,7 @@ def test_adam_zero_grads_no_change(world):
     model = _model(world)
     before = _snapshot(model)
     model.zero_grad()
-    adam_step(model, OptimState())
+    adam_step(model, op.make_optimizer(RunConfig()))
     for name, p in model.named_parameters():
         assert np.array_equal(p.values, before[name])
 
@@ -49,7 +50,7 @@ def test_adam_zero_grads_no_change(world):
 def test_adam_first_step_sign_property(world):
     model = _model(world)
     before = _snapshot(model)
-    state = OptimState(lr=1e-3, clip_norm=0.0)  # 0 disables clipping
+    state = op.make_optimizer(RunConfig(lr=1e-3, clip_norm=0.0))  # 0 disables clipping
     for _, p in model.named_parameters():
         p.grad = np.full_like(p.values, 0.5)
     adam_step(model, state)
@@ -60,7 +61,7 @@ def test_adam_first_step_sign_property(world):
 
 def test_adam_clip_scales_effective_grads(world):
     model = _model(world)
-    state = OptimState(clip_norm=1.0)
+    state = op.make_optimizer(RunConfig(clip_norm=1.0))
     n_total = sum(p.size for _, p in model.named_parameters())
     c = 10.0 / np.sqrt(n_total)  # global norm exactly 10
     for _, p in model.named_parameters():
@@ -75,7 +76,7 @@ def test_adam_clip_scales_effective_grads(world):
 def test_adam_post_clip_norm_bounded(world):
     model = _model(world)
     rng = np.random.default_rng(0)
-    state = OptimState(clip_norm=1.0)
+    state = op.make_optimizer(RunConfig(clip_norm=1.0))
     for _, p in model.named_parameters():
         p.grad = rng.uniform(-3, 3, p.values.shape)
     pre = np.sqrt(sum(float((p.grad ** 2).sum()) for _, p in model.named_parameters()))
@@ -91,7 +92,40 @@ def test_adam_rejects_non_finite(world):
         p.grad = np.zeros_like(p.values)
     model.params["patch_proj"].grad[0, 0] = np.nan
     with pytest.raises(op.NonFiniteGradientError, match="patch_proj"):
-        adam_step(model, OptimState())
+        adam_step(model, op.make_optimizer(RunConfig()))
+
+
+def test_adam_overflowing_norm_changes_nothing(world):
+    # 1e200 is finite but its square is not; with clipping on, the inf norm
+    # used to scale every gradient to zero and step silently
+    model = _model(world)
+    state = op.make_optimizer(RunConfig())
+    for _, p in model.named_parameters():
+        p.grad = np.full_like(p.values, 0.5)
+    adam_step(model, state)  # the moments exist
+    model.params["patch_proj"].grad[0, 0] = 1e200
+    params = _snapshot(model)
+    m = {name: a.copy() for name, a in state.m.items()}
+    v = {name: a.copy() for name, a in state.v.items()}
+    with np.errstate(over="ignore"), pytest.raises(
+            op.NonFiniteGradientError, match="non-finite global gradient norm at step 1$"):
+        adam_step(model, state)
+    assert state.step_count == 1
+    for name, p in model.named_parameters():
+        assert np.array_equal(p.values, params[name]), name
+        assert np.array_equal(state.m[name], m[name]), name
+        assert np.array_equal(state.v[name], v[name]), name
+
+
+@pytest.mark.parametrize("task, key", [(None, "lr"), (TaskKind.MT_CAPTION, "caption_lr"),
+                                       (TaskKind.MT_T2I, "t2i_lr")])
+def test_make_optimizer_takes_the_phase_lr(task, key):
+    cfg = RunConfig(lr=1e-3, caption_lr=2e-3, t2i_lr=3e-3, adam_beta1=0.8, adam_beta2=0.99,
+                    adam_eps=1e-6, clip_norm=2.0)
+    state = op.make_optimizer(cfg, task)
+    assert state.lr == getattr(cfg, key)
+    assert (state.beta1, state.beta2, state.eps, state.clip_norm) == (0.8, 0.99, 1e-6, 2.0)
+    assert state.step_count == 0 and state.m == state.v == {}
 
 
 @pytest.mark.parametrize("kind", list(TaskKind))
@@ -99,11 +133,10 @@ def test_non_finite_loss_fails_before_backward(world, kind):
     # one NaN in the decoder's visual table reaches every task's logits
     _, _, _, examples = world
     model = _model(world)
-    settings = TrainSettings(batch_size=2)
-    state = op.make_optimizer(settings)
-    batch = obj.build_task_batch(examples[:2], kind, np.random.default_rng(0), model,
-                                 settings.corruption)
-    op._train_step(model, state, batch, settings, alpha=1.0)  # the moments exist
+    cfg = RunConfig(batch_size=2)
+    state = op.make_optimizer(cfg)
+    batch = obj.build_task_batch(examples[:2], kind, np.random.default_rng(0), model, cfg)
+    op._train_step(model, state, batch, cfg, alpha=1.0)  # the moments exist
     model.visual_embed_dec.values[-1, 0] = np.nan
     params = _snapshot(model)
     m = {name: a.copy() for name, a in state.m.items()}
@@ -111,7 +144,7 @@ def test_non_finite_loss_fails_before_backward(world, kind):
     with pytest.raises(op.NonFiniteLossError,
                        match=rf"non-finite loss {obj.TERM_NAME[kind]}=nan in task "
                              rf"'{kind.value}' at step 1$"):
-        op._train_step(model, state, batch, settings, alpha=1.0)
+        op._train_step(model, state, batch, cfg, alpha=1.0)
     assert state.step_count == 1
     for name, p in model.named_parameters():
         assert np.array_equal(p.values, params[name], equal_nan=True), name
@@ -123,7 +156,7 @@ def test_pretrain_zero_steps_no_change(world):
     _, _, _, examples = world
     model = _model(world)
     before = _snapshot(model)
-    records = op.pretrain(examples, model, 0, TrainSettings(batch_size=2),
+    records = op.pretrain(examples, model, 0, RunConfig(batch_size=2),
                           np.random.default_rng(0))
     assert records == []
     for name, p in model.named_parameters():
@@ -146,7 +179,7 @@ def test_pretrain_deterministic_bitwise(world):
             if decode_between_steps:
                 caption_image(model, examples[0].image, DecodeConfig(beam_size=2, max_len=4))
 
-        op.pretrain(examples, model, 5, TrainSettings(batch_size=2),
+        op.pretrain(examples, model, 5, RunConfig(batch_size=2),
                     np.random.default_rng(11), log_fn=log)
         return _snapshot(model), lines
 
@@ -161,13 +194,13 @@ def test_pretrain_deterministic_bitwise(world):
 def test_single_batch_overfit_decreases(world, kind):
     # training oracle: 50 Adam steps on one fixed batch cut the loss sharply
     from duvlg import autodiff as ad
-    from duvlg.objectives import CorruptionConfig, build_task_batch, task_terms, total_loss
+    from duvlg.objectives import build_task_batch, task_terms, total_loss
 
     _, _, _, examples = world
     model = _model(world, seed=7)
     batch = build_task_batch(examples[:2], kind, np.random.default_rng(0),
-                             model, CorruptionConfig())
-    state = OptimState(lr=3e-3)
+                             model, RunConfig())
+    state = op.make_optimizer(RunConfig(lr=3e-3))
     losses = []
     for _ in range(50):
         terms = task_terms(batch, model)
@@ -184,7 +217,7 @@ def test_pretrain_log_format(world):
     _, _, _, examples = world
     model = _model(world)
     lines = []
-    op.pretrain(examples, model, 3, TrainSettings(batch_size=2),
+    op.pretrain(examples, model, 3, RunConfig(batch_size=2),
                 np.random.default_rng(0), log_fn=lines.append)
     assert len(lines) == 3
     for i, line in enumerate(lines):
@@ -197,17 +230,17 @@ def test_pretrain_log_format(world):
 
 def test_finetune_defaults_and_isolation(world):
     _, _, _, examples = world
-    assert op.T2I_FINETUNE_LR == 1e-4
-    assert op.CAPTION_FINETUNE_LR == 3e-5
+    assert RunConfig().t2i_lr == 1e-4
+    assert RunConfig().caption_lr == 3e-5
     model = _model(world)
     records = op.finetune(examples, model, TaskKind.MT_CAPTION, 1,
-                          TrainSettings(batch_size=4), np.random.default_rng(0))
+                          RunConfig(batch_size=4), np.random.default_rng(0))
     for rec in records:
         assert rec.task is TaskKind.MT_CAPTION
         assert rec.breakdown.l_dae_image == rec.breakdown.l_mt_image == rec.breakdown.l_com == 0.0
         assert rec.breakdown.present == {"l_mt_text"}
     with pytest.raises(ValueError):
-        op.finetune(examples, model, TaskKind.DAE_TEXT, 1, TrainSettings(),
+        op.finetune(examples, model, TaskKind.DAE_TEXT, 1, RunConfig(),
                     np.random.default_rng(0))
 
 
@@ -215,11 +248,10 @@ def test_finetune_improves_val_loss(world):
     _, _, _, examples = world
     model = _model(world, seed=5)
     train, val = examples[:6], examples[6:]
-    settings = TrainSettings(batch_size=3)
-    before = op.evaluate_task_nll(val, model, TaskKind.MT_CAPTION, settings)
-    op.finetune(train, model, TaskKind.MT_CAPTION, 4, settings,
-                np.random.default_rng(2), lr=3e-3)
-    after = op.evaluate_task_nll(val, model, TaskKind.MT_CAPTION, settings)
+    cfg = RunConfig(batch_size=3, caption_lr=3e-3)
+    before = op.evaluate_task_nll(val, model, TaskKind.MT_CAPTION, cfg)
+    op.finetune(train, model, TaskKind.MT_CAPTION, 4, cfg, np.random.default_rng(2))
+    after = op.evaluate_task_nll(val, model, TaskKind.MT_CAPTION, cfg)
     assert after <= before
 
 
@@ -229,15 +261,14 @@ def test_evaluate_task_nll_builds_no_graph(world, kind):
     # parameter's .grad is touched
     _, _, _, examples = world
     model = _model(world, seed=3)
-    settings = TrainSettings()
+    cfg = RunConfig()
     for p in model.params.values():
         p.grad = np.full(p.values.shape, 7.0)
-    got = op.evaluate_task_nll(examples, model, kind, settings, batch_size=3)
+    got = op.evaluate_task_nll(examples, model, kind, cfg, batch_size=3)
     rng = np.random.default_rng(0)
     total, n = 0.0, 0
     for lo in range(0, len(examples), 3):
-        batch = obj.build_task_batch(examples[lo:lo + 3], kind, rng, model,
-                                     settings.corruption)
+        batch = obj.build_task_batch(examples[lo:lo + 3], kind, rng, model, cfg)
         loss = obj.task_nll(batch, model)
         assert loss.parents  # the reference path does build a graph
         weight = sum(len(t) - 1 for t in batch.targets)
@@ -251,7 +282,7 @@ def test_t2i_finetune_includes_commitment(world):
     _, _, _, examples = world
     model = _model(world)
     records = op.finetune(examples[:4], model, TaskKind.MT_T2I, 1,
-                          TrainSettings(batch_size=4), np.random.default_rng(0))
+                          RunConfig(batch_size=4), np.random.default_rng(0))
     assert records[0].breakdown.present == {"l_mt_image", "l_com"}
     assert records[0].breakdown.l_com > 0
 
@@ -263,19 +294,18 @@ def test_training_step_reuses_its_memory():
     # the heap kept they are not faulted in again (~4,000 faults otherwise)
     import resource
 
-    from duvlg.config import RunConfig, build_model, to_train_settings
+    from duvlg.config import build_model
 
     cfg = RunConfig()
     model, vocab = build_model(cfg)
     examples = gen_dataset(cfg.batch_size, 0, model.codebook, cfg.grid_dims(), vocab)
-    settings = to_train_settings(cfg)
-    state = op.make_optimizer(settings)
+    state = op.make_optimizer(cfg)
     batch = obj.build_task_batch(examples, TaskKind.DAE_IMAGE, np.random.default_rng(0),
-                                 model, settings.corruption)
+                                 model, cfg)
     for _ in range(2):
-        op._train_step(model, state, batch, settings, settings.alpha)
+        op._train_step(model, state, batch, cfg, cfg.alpha)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        op._train_step(model, state, batch, settings, settings.alpha)
+        op._train_step(model, state, batch, cfg, cfg.alpha)
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
     assert faults < 500, faults

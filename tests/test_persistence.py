@@ -77,7 +77,7 @@ def test_grid_dims_divisibility():
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = _small_cfg(["alpha=0.05"])
     model, vocab = build_model(cfg)
-    optim = op.make_optimizer(cf.to_train_settings(cfg))
+    optim = op.make_optimizer(cfg)
     rng = np.random.default_rng(3)
     rng.random(5)  # advance the stream
     path = tmp_path / "m.ckpt"
@@ -96,8 +96,8 @@ def test_checkpoint_preserves_moments(tmp_path):
     cfg = _small_cfg()
     model, vocab = build_model(cfg)
     dataset = _dataset(cfg, model)
-    optim = op.make_optimizer(cf.to_train_settings(cfg))
-    op.pretrain(dataset, model, 3, cf.to_train_settings(cfg), np.random.default_rng(0),
+    optim = op.make_optimizer(cfg)
+    op.pretrain(dataset, model, 3, cfg, np.random.default_rng(0),
                 optim=optim)
     path = tmp_path / "m.ckpt"
     ck.save_checkpoint(path, model, optim, np.random.default_rng(0), 3, cfg)
@@ -110,22 +110,21 @@ def test_checkpoint_preserves_moments(tmp_path):
 
 def test_split_resume_equals_straight_through(tmp_path):
     cfg = _small_cfg()
-    settings = cf.to_train_settings(cfg)
 
     model_a, _ = build_model(cfg)
-    optim_a = op.make_optimizer(settings)
+    optim_a = op.make_optimizer(cfg)
     rng_a = np.random.default_rng(cfg.seed)
     dataset = _dataset(cfg, model_a)
-    op.pretrain(dataset, model_a, 6, settings, rng_a, optim=optim_a)
+    op.pretrain(dataset, model_a, 6, cfg, rng_a, optim=optim_a)
 
     model_b, _ = build_model(cfg)
-    optim_b = op.make_optimizer(settings)
+    optim_b = op.make_optimizer(cfg)
     rng_b = np.random.default_rng(cfg.seed)
-    op.pretrain(dataset, model_b, 3, settings, rng_b, optim=optim_b)
+    op.pretrain(dataset, model_b, 3, cfg, rng_b, optim=optim_b)
     path = tmp_path / "half.ckpt"
     ck.save_checkpoint(path, model_b, optim_b, rng_b, 3, cfg)
     loaded = ck.load_checkpoint(path)
-    op.pretrain(dataset, loaded.model, 3, settings, loaded.rng,
+    op.pretrain(dataset, loaded.model, 3, cfg, loaded.rng,
                 optim=loaded.optim, start_step=loaded.step)
 
     for (na, pa), (_, pb) in zip(model_a.named_parameters(),
@@ -136,7 +135,7 @@ def test_split_resume_equals_straight_through(tmp_path):
 def test_checkpoint_error_taxonomy(tmp_path):
     cfg = _small_cfg()
     model, _ = build_model(cfg)
-    optim = op.make_optimizer(cf.to_train_settings(cfg))
+    optim = op.make_optimizer(cfg)
     path = tmp_path / "m.ckpt"
     ck.save_checkpoint(path, model, optim, np.random.default_rng(0), 0, cfg)
     blob = path.read_bytes()
@@ -165,7 +164,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
 
     cfg = _small_cfg()
     model, _ = build_model(cfg)
-    optim = op.make_optimizer(cf.to_train_settings(cfg))
+    optim = op.make_optimizer(cfg)
     path = tmp_path / "m.ckpt"
     ck.save_checkpoint(path, model, optim, np.random.default_rng(0), 0, cfg)
     blob = path.read_bytes()
@@ -189,7 +188,7 @@ def test_checkpoint_atomic_no_partial_file(tmp_path):
     model, _ = build_model(cfg)
     path = tmp_path / "missing" / "m.ckpt"
     with pytest.raises(OSError):
-        ck.save_checkpoint(path, model, op.OptimState(), np.random.default_rng(0), 0, cfg)
+        ck.save_checkpoint(path, model, op.make_optimizer(cfg), np.random.default_rng(0), 0, cfg)
     assert not path.exists()
 
 
@@ -197,7 +196,7 @@ def _saved(tmp_path):
     cfg = _small_cfg()
     model, _ = build_model(cfg)
     path = tmp_path / "m.ckpt"
-    ck.save_checkpoint(path, model, op.make_optimizer(cf.to_train_settings(cfg)),
+    ck.save_checkpoint(path, model, op.make_optimizer(cfg),
                        np.random.default_rng(0), 0, cfg)
     return path, model, cfg
 
