@@ -139,29 +139,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _lift(x) -> Tensor:
@@ -227,16 +206,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(out_vals, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values - b.values
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _op(out_vals, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_vals = a.values * b.values
 
@@ -247,13 +216,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, g * a.values)
 
     return _op(out_vals, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, -g)
-
-    return _op(-a.values, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

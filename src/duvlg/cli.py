@@ -84,34 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_cli_flags(cfg: RunConfig, args) -> RunConfig:
-    cfg = apply_overrides(cfg, args.set)
-    if getattr(args, "no_image_loss", False):
-        cfg = apply_overrides(cfg, ["use_image_loss=false"])
-    if getattr(args, "no_text_loss", False):
-        cfg = apply_overrides(cfg, ["use_text_loss=false"])
-    if getattr(args, "no_commitment", False):
-        cfg = apply_overrides(cfg, ["use_commitment=false"])
-    return cfg
-
-
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    return _apply_cli_flags(cfg, args)
-
-
-def _print_config(cfg: RunConfig):
-    print("# resolved run config")
-    print(format_config(cfg))
-    print("# end config")
+# each ablation switch (argparse dest) and the config key it turns off
+_ABLATIONS = (("no_image_loss", "use_image_loss"), ("no_text_loss", "use_text_loss"),
+              ("no_commitment", "use_commitment"))
 
 
 def _load_dataset(path, cfg, model, vocab):
     return dat.load_dataset(path, model.codebook, cfg.grid_dims(), vocab)
 
 
-def _cmd_gen_data(args, cfg: RunConfig) -> int:
-    _print_config(cfg)
+def _cmd_gen_data(args, cfg: RunConfig, _loaded) -> int:
     cb = VisualCodebook.build(cfg.codebook_size, cfg.d_code, cfg.patch_size)
     vocab = dat.TextVocab()
     examples = dat.gen_dataset(args.n, cfg.seed, cb, cfg.grid_dims(), vocab)
@@ -128,18 +110,14 @@ def _open_log(path):
     return fh, lambda line: fh.write(line + "\n")
 
 
-def _cmd_pretrain(args, cfg: RunConfig) -> int:
-    if args.resume:
-        loaded = load_checkpoint(args.resume)
-        cfg = _apply_cli_flags(loaded.config, args)
+def _cmd_pretrain(args, cfg: RunConfig, loaded) -> int:
+    if loaded:
         model, vocab = loaded.model, loaded.vocab
         rng, start_step = loaded.rng, loaded.step
         # the moments continue; Adam's settings are the printed config's
         optim = dataclasses.replace(op.make_optimizer(cfg), step_count=loaded.optim.step_count,
                                     m=loaded.optim.m, v=loaded.optim.v)
-        _print_config(cfg)
     else:
-        _print_config(cfg)
         model, vocab = build_model(cfg)
         optim = op.make_optimizer(cfg)
         rng = np.random.default_rng(cfg.seed)
@@ -160,10 +138,7 @@ def _cmd_pretrain(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_finetune(args, cfg: RunConfig) -> int:
-    loaded = load_checkpoint(args.ckpt)
-    cfg = apply_overrides(loaded.config, args.set)
-    _print_config(cfg)
+def _cmd_finetune(args, cfg: RunConfig, loaded) -> int:
     model, vocab = loaded.model, loaded.vocab
     task = TaskKind.MT_CAPTION if args.task == "caption" else TaskKind.MT_T2I
     dataset = _load_dataset(args.data, cfg, model, vocab)
@@ -180,20 +155,14 @@ def _cmd_finetune(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_caption(args, cfg: RunConfig) -> int:
-    loaded = load_checkpoint(args.ckpt)
-    cfg = apply_overrides(loaded.config, args.set)
-    _print_config(cfg)
+def _cmd_caption(args, cfg: RunConfig, loaded) -> int:
     image = load_image(args.image)
     tokens = dec.caption_image(loaded.model, image, to_decode_config(cfg, "beam", "text"))
     print(dat.decode_text(tokens, loaded.vocab))
     return 0
 
 
-def _cmd_imagine(args, cfg: RunConfig) -> int:
-    loaded = load_checkpoint(args.ckpt)
-    cfg = apply_overrides(loaded.config, args.set)
-    _print_config(cfg)
+def _cmd_imagine(args, cfg: RunConfig, loaded) -> int:
     model, vocab = loaded.model, loaded.vocab
     caption = dat.encode_text(args.caption, vocab)
     decode_cfg = to_decode_config(cfg, "nucleus", "image")
@@ -212,10 +181,7 @@ def _cmd_imagine(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval(args, cfg: RunConfig) -> int:
-    loaded = load_checkpoint(args.ckpt)
-    cfg = apply_overrides(loaded.config, args.set)
-    _print_config(cfg)
+def _cmd_eval(args, cfg: RunConfig, loaded) -> int:
     model, vocab = loaded.model, loaded.vocab
     dataset = _load_dataset(args.data, cfg, model, vocab)
     train, val = dat.split_dataset(dataset, cfg.val_frac)
@@ -238,8 +204,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_gradcheck(args, cfg: RunConfig) -> int:
-    _print_config(cfg)
+def _cmd_gradcheck(_args, cfg: RunConfig, _loaded) -> int:
     audits = run_gradient_audit(beta=cfg.beta)
     ok = True
     for a in audits:
@@ -268,16 +233,22 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
-        restores = args.command in ("finetune", "caption", "imagine", "eval") \
-            or (args.command == "pretrain" and args.resume)
-        if restores and args.config:
+        source = getattr(args, "ckpt", None) or getattr(args, "resume", None)
+        if source and args.config:
             raise ConfigError("this command restores the checkpoint's config; "
                               "use --set for adjustments, not --config")
-        cfg = _resolve_config(args)
         # numpy's overflow warnings would precede the one-line error; the
         # finite checks on losses, gradients, parameters and scores report instead
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args, cfg)
+            loaded = load_checkpoint(source) if source else None
+            if loaded:
+                cfg = loaded.config
+            else:
+                cfg = load_config(args.config) if args.config else RunConfig()
+            cfg = apply_overrides(cfg, args.set + [f"{key}=false" for flag, key in _ABLATIONS
+                                                   if getattr(args, flag, False)])
+            print(f"# resolved run config\n{format_config(cfg)}\n# end config")
+            return _COMMANDS[args.command](args, cfg, loaded)
     except (ConfigError, CheckpointError, ValueError, OSError, op.NonFiniteGradientError,
             op.NonFiniteLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,9 +109,6 @@ class PatchFeaturizer:
         dims = patch_grid_dims(img, self.patch_size)
         return self.featurize(extract_patches(img, self.patch_size), dims)
 
-    def state_bytes(self) -> bytes:
-        return self.weight.tobytes() + self.bias.tobytes()
-
 
 # Codeword radii: inf-norm of a rendered patch offset is bounded by the
 # 2-norm of its codeword, so staying under 0.5 keeps pixels inside [0, 1].
@@ -160,9 +157,6 @@ class VisualCodebook:
     def project(self, patches: np.ndarray) -> np.ndarray:
         """Raw pixel patches -> code-space vectors."""
         return (patches - 0.5) @ self.render_map.T
-
-    def state_bytes(self) -> bytes:
-        return self.embed.values.tobytes() + self.render_map.tobytes()
 
 
 def tokenize_image(img: ImageGrid, cb: VisualCodebook) -> np.ndarray:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .codec import PatchFeaturizer, VisualCodebook
+from .corruption import check_block_shape
 from .data import TextVocab
 from .decoding import DecodeConfig
 from .model import DuVlgModel, ModelConfig, init_model
@@ -100,11 +101,22 @@ class RunConfig:
                               f"got {self.max_block}")
         if not 0 < self.aspect_min <= 1:
             raise ConfigError(f"aspect_min must be in (0, 1], got {self.aspect_min}")
+        if self.patch_size < 1:
+            raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
+        if self.image_size < 1 or self.image_size % self.patch_size:
+            raise ConfigError(f"image_size must be a positive multiple of patch_size "
+                              f"({self.patch_size}), got {self.image_size}")
+        try:
+            check_block_shape(*self.grid_dims(), self.min_block, self.max_block, self.aspect_min)
+        except ValueError as exc:
+            raise ConfigError(f"min_block and max_block: {exc}") from None
+        for key in ("beam_size", "top_k", "n_samples", "max_decode_len"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
 
     def grid_dims(self) -> tuple[int, int]:
-        if self.image_size % self.patch_size:
-            raise ConfigError(f"image_size {self.image_size} not divisible by "
-                              f"patch_size {self.patch_size}")
         side = self.image_size // self.patch_size
         return side, side
 

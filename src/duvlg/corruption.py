@@ -45,14 +45,12 @@ def blockwise_mask(rows: int, cols: int, rate: float, rng: np.random.Generator,
     if min_block < 1 or not aspect_min > 0:
         raise ValueError(f"need min_block >= 1 and aspect_min > 0, got {min_block} "
                          f"and {aspect_min}")
+    check_block_shape(rows, cols, min_block, max_block, aspect_min)
     n = rows * cols
     target = math.ceil(rate * n)
     masked = np.zeros((rows, cols), dtype=bool)
     min_eff = min(min_block, n)
     max_eff = min(max_block, n)
-    if not _can_place(rows, cols, min_eff, max_block, aspect_min):
-        raise ValueError(f"no block of {min_eff}..{max_block} patches with aspect in "
-                         f"[{aspect_min}, 1/{aspect_min}] fits a {rows}x{cols} grid")
     log_lo, log_hi = math.log(aspect_min), math.log(1.0 / aspect_min)
 
     count = 0
@@ -73,6 +71,15 @@ def _block_dims(area: int, aspect: float, rows: int, cols: int) -> tuple[int, in
     h = min(max(int(round(math.sqrt(area * aspect))), 1), rows)
     w = min(max(int(round(math.sqrt(area / aspect))), 1), cols)
     return h, w
+
+
+def check_block_shape(rows: int, cols: int, min_block: int, max_block: int,
+                      aspect_min: float):
+    """Raise ValueError unless some draw of blockwise_mask places a block."""
+    min_eff = min(min_block, rows * cols)
+    if not _can_place(rows, cols, min_eff, max_block, aspect_min):
+        raise ValueError(f"no block of {min_eff}..{max_block} patches with aspect in "
+                         f"[{aspect_min}, 1/{aspect_min}] fits a {rows}x{cols} grid")
 
 
 def _can_place(rows: int, cols: int, min_eff: int, max_block: int, aspect_min: float) -> bool:

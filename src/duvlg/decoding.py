@@ -16,7 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .codec import ImageGrid, decode_tokens
-from .model import (N_SPECIALS, SPECIALS, DecoderCache, DuVlgModel, decode_forward,
+# decode_forward is unused here but stays importable: the benchmark's tracer
+# (perfbench/tracer.py) wraps decoding.decode_forward
+from .model import (N_SPECIALS, SPECIALS, DecoderCache, DuVlgModel, decode_forward,  # noqa: F401
                     decode_forward_batch, encode, encode_batch, unified_to_visual)
 
 _STRATEGIES = ("greedy", "beam", "nucleus", "topk")
@@ -58,7 +60,7 @@ def allowed_ids(model: DuVlgModel, modality: str) -> np.ndarray:
 
 def _check_text_len(model: DuVlgModel, cfg: DecodeConfig):
     """A caption of max_len tokens plus its start token must fit the decoder,
-    so that every caption decoded can also be scored by ``caption_nll``."""
+    so that every caption decoded can also be scored by ``caption_scores``."""
     if cfg.max_len + 1 > model.cfg.max_dec_len:
         raise ValueError(f"max_len {cfg.max_len} needs {cfg.max_len + 1} decoder positions; "
                          f"max decoder length is {model.cfg.max_dec_len}")
@@ -177,42 +179,41 @@ def _pick(lp: np.ndarray, cfg: DecodeConfig, rngs) -> np.ndarray:
     return order[np.arange(rows), (cdf <= draws[:, None]).sum(axis=1)]
 
 
-def _sample_text(model, enc_states, cfg: DecodeConfig, rng) -> np.ndarray:
-    candidates = np.concatenate(([SPECIALS.eos], allowed_ids(model, "text")))
-    enc, enc_valid, cache = _start(model, enc_states, cfg.max_len)
-    tokens = []
-    last = SPECIALS.bos
+def _sample(model, enc_states, cfg: DecodeConfig, rngs, first: int, candidates,
+            steps: int, stop: int | None = None) -> np.ndarray:
+    """Sequences [rows x (1 + sampled)] of the start token ``first`` and up
+    to ``steps`` tokens drawn from ``candidates``, one row per rng.  All rows
+    advance as one cached batch step and one batched ``_pick``; row r draws
+    from its own ``rngs[r]``.  ``stop`` is for a single row: sampling ends,
+    without emitting it, when that row draws it."""
+    enc, enc_valid, cache = _start(model, enc_states, steps)
+    columns = [np.full(len(rngs), first, dtype=np.int64)]
     with ad.no_grad():
-        for _ in range(cfg.max_len):
-            lp = _step_logprobs(model, enc, enc_valid, cache, [last], candidates, cfg.temperature)
-            last = int(candidates[_pick(lp, cfg, [rng])[0]])
-            if last == SPECIALS.eos:
+        for _ in range(steps):
+            lp = _step_logprobs(model, enc, enc_valid, cache, columns[-1], candidates,
+                                cfg.temperature)
+            picked = candidates[_pick(lp, cfg, rngs)]
+            if picked[0] == stop:
                 break
-            tokens.append(last)
-    return np.asarray(tokens, dtype=np.int64)
+            columns.append(picked)
+    return np.stack(columns, axis=1)
 
 
 def generate_image_tokens(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
                           n_patches: int) -> list[np.ndarray]:
     """n_samples bracketed unified sequences [BOI] v1..vn [EOI]; the head is
     restricted to visual tokens for exactly n_patches steps, then [EOI] is
-    forced.  All samples advance as one cached batch step and one batched
-    ``_pick``; each sample draws from its own spawned rng stream."""
+    forced.  Each sample draws from its own spawned rng stream."""
     if cfg.strategy == "beam":
         raise ValueError("image sampling uses greedy/nucleus/topk, not beam")
     if n_patches > model.cfg.max_patches:
         raise ValueError(f"{n_patches} patches exceeds max_patches {model.cfg.max_patches}")
-    visual = allowed_ids(model, "image")
     children = rng.spawn(cfg.n_samples)
-    columns = [np.full(cfg.n_samples, SPECIALS.boi)]
     with ad.no_grad():
-        enc, enc_valid, cache = _start(model, encode(model, text_ids=caption), n_patches)
-        for _ in range(n_patches):
-            lp = _step_logprobs(model, enc, enc_valid, cache, columns[-1], visual,
-                                cfg.temperature)
-            columns.append(visual[_pick(lp, cfg, children)])
-    columns.append(np.full(cfg.n_samples, SPECIALS.eoi))
-    return list(np.stack(columns, axis=1).astype(np.int64))
+        enc = encode(model, text_ids=caption)
+    seqs = _sample(model, enc, cfg, children, SPECIALS.boi, allowed_ids(model, "image"),
+                   n_patches)
+    return list(np.column_stack((seqs, np.full(cfg.n_samples, SPECIALS.eoi))))
 
 
 def generate_image(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
@@ -223,32 +224,16 @@ def generate_image(model: DuVlgModel, caption, cfg: DecodeConfig, rng,
             for seq in sequences]
 
 
-def _caption_targets(caption) -> np.ndarray:
-    return np.concatenate(([SPECIALS.bos], np.asarray(caption, dtype=np.int64), [SPECIALS.eos]))
-
-
-def caption_nll(model: DuVlgModel, image: ImageGrid, caption) -> float:
-    """Teacher-forced NLL of a caption given only the image."""
-    tgt = _caption_targets(caption)
-    with ad.no_grad():
-        enc = encode(model, patches=model.featurizer.featurize_image(image))
-        logits = decode_forward(model, tgt[:-1], enc)
-        return ad.cross_entropy_logits(logits, tgt[1:]).item()
-
-
-# Candidates per teacher-forced rerank pass.  A pass holds [B x h x L x L]
+# Candidates per teacher-forced scoring pass.  A pass holds [B x h x L x L]
 # encoder attention scores, so all 16 candidates at once would dominate the
 # process's peak memory; 4 keep it below that of sampling.
 _RERANK_BATCH = 4
 
 
-def rerank(model: DuVlgModel, caption, images) -> tuple[int, list[float]]:
-    """Pick the candidate whose caption NLL is lowest (cycle consistency).
-    Returns (index of best image, per-image scores); ties keep the first.
-    Candidates are scored in teacher-forced batches of _RERANK_BATCH."""
-    if not images:
-        raise ValueError("rerank needs at least one candidate image")
-    tgt = _caption_targets(caption)
+def caption_scores(model: DuVlgModel, caption, images) -> list[float]:
+    """Teacher-forced log-likelihood of the caption given each image alone
+    (the negated caption NLL), in batches of _RERANK_BATCH images."""
+    tgt = np.concatenate(([SPECIALS.bos], np.asarray(caption, dtype=np.int64), [SPECIALS.eos]))
     scores = []
     with ad.no_grad():
         for lo in range(0, len(images), _RERANK_BATCH):
@@ -258,6 +243,20 @@ def rerank(model: DuVlgModel, caption, images) -> tuple[int, list[float]]:
             logits = decode_forward_batch(model, np.tile(tgt[:-1], (n, 1)), enc, enc_valid)
             scores += [-ad.cross_entropy_logits(Tensor(row), tgt[1:]).item()
                        for row in logits.values]
+    return scores
+
+
+def caption_nll(model: DuVlgModel, image: ImageGrid, caption) -> float:
+    """Teacher-forced NLL of a caption given only the image."""
+    return -caption_scores(model, caption, [image])[0]
+
+
+def rerank(model: DuVlgModel, caption, images) -> tuple[int, list[float]]:
+    """Pick the candidate whose caption NLL is lowest (cycle consistency).
+    Returns (index of best image, per-image scores); ties keep the first."""
+    if not images:
+        raise ValueError("rerank needs at least one candidate image")
+    scores = caption_scores(model, caption, images)
     if not np.isfinite(scores).all():
         raise ValueError(f"rerank scores are not all finite: {scores}")
     return int(np.argmax(scores)), scores
@@ -275,4 +274,6 @@ def caption_image(model: DuVlgModel, image: ImageGrid, cfg: DecodeConfig,
         size = 1 if cfg.strategy == "greedy" else cfg.beam_size
         tokens, _ = beam_search(model, enc, replace(cfg, strategy="beam", beam_size=size, modality="text"))
         return tokens
-    return _sample_text(model, enc, cfg, rng)
+    candidates = np.concatenate(([SPECIALS.eos], allowed_ids(model, "text")))
+    return _sample(model, enc, cfg, [rng], SPECIALS.bos, candidates, cfg.max_len,
+                   stop=SPECIALS.eos)[0, 1:]

@@ -30,7 +30,6 @@ class TaskKind(enum.Enum):
 
 
 IMAGE_TARGET_KINDS = (TaskKind.DAE_IMAGE, TaskKind.MT_T2I)
-TEXT_TARGET_KINDS = (TaskKind.DAE_TEXT, TaskKind.MT_CAPTION)
 
 
 @dataclass

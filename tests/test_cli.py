@@ -6,7 +6,8 @@ import pytest
 from duvlg import checkpoint as ck
 from duvlg import optim as op
 from duvlg.cli import cli_dispatch
-from duvlg.config import RunConfig, apply_overrides, build_model
+from duvlg.config import ConfigError, RunConfig, apply_overrides, build_model
+from duvlg.corruption import blockwise_mask
 
 
 SMALL = ["--set", "d_model=16", "--set", "n_heads=2", "--set", "d_ff=32",
@@ -146,6 +147,31 @@ def test_pretrain_unplaceable_mask_block_fails_in_one_line(tmp_path, data_file, 
     assert not ckpt.exists()
 
 
+def test_unplaceable_mask_block_is_refused_before_building(tmp_path, data_file, capsys,
+                                                          monkeypatch):
+    # without inpainting steps (p_dae=0) such a run used to exit 0 and save a
+    # checkpoint with which every later inpainting step fails
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("built a model despite an unplaceable mask block")
+
+    monkeypatch.setattr("duvlg.cli.build_model", must_not_run)
+    ckpt = tmp_path / "block.ckpt"
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "3", "--out", str(ckpt),
+                       "--set", "p_dae=0", "--set", "min_block=5", "--set", "max_block=5"]
+                      + SMALL)
+    assert rc == 1
+    _one_error_line(capsys, "min_block and max_block: no block of 5..5 patches")
+    assert not ckpt.exists()
+
+
+def test_config_and_mask_share_the_block_check():
+    with pytest.raises(ConfigError) as refused:
+        RunConfig(image_size=16, min_block=5, max_block=5)
+    with pytest.raises(ValueError) as unplaceable:
+        blockwise_mask(4, 4, 0.5, np.random.default_rng(0), 5, 5, 0.3)
+    assert str(refused.value) == f"min_block and max_block: {unplaceable.value}"
+
+
 _OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t2i_lr=-1e-4",
                  "caption_lr=nan", "p_dae=1.5", "p_dae=-0.1", "image_mask_rate=2",
                  "text_mask_rate=nan", "val_frac=1.01", "top_p=0", "top_p=1.5",
@@ -153,25 +179,58 @@ _OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t
                  "adam_eps=nan", "adam_eps=inf", "adam_beta1=1", "adam_beta1=-0.1",
                  "adam_beta2=1", "adam_beta2=nan", "min_block=0", "max_block=3",
                  "aspect_min=0", "aspect_min=1.5", "aspect_min=nan", "span_lambda=-1",
-                 "span_lambda=nan", "span_lambda=inf"]
+                 "span_lambda=nan", "span_lambda=inf", "image_size=30", "image_size=0",
+                 "patch_size=0", "beam_size=0", "top_k=0", "n_samples=0", "max_decode_len=0",
+                 "temperature=0", "temperature=-1", "temperature=nan", "temperature=inf"]
+
+
+@pytest.fixture(scope="module")
+def small_ckpt(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("small")
+    data, ckpt = tmp / "pairs.tsv", tmp / "base.ckpt"
+    assert cli_dispatch(["gen-data", "--out", str(data), "--n", "4"] + SMALL) == 0
+    assert cli_dispatch(["pretrain", "--data", str(data), "--steps", "0", "--out", str(ckpt)]
+                        + SMALL) == 0
+    return ckpt
 
 
 @pytest.mark.parametrize("setting", _OUT_OF_RANGE)
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
-def test_out_of_range_config_fails_before_building(tmp_path, monkeypatch, capsys,
+def test_out_of_range_config_fails_before_building(tmp_path, monkeypatch, capsys, small_ckpt,
                                                    command, setting):
+    # finetune applies --set to the checkpoint's config, so it reads one
     def must_not_run(*_args, **_kwargs):
         raise AssertionError("built or loaded a model despite a bad config")
 
     monkeypatch.setattr("duvlg.cli.build_model", must_not_run)
-    monkeypatch.setattr("duvlg.cli.load_checkpoint", must_not_run)
-    source = ["--ckpt", str(tmp_path / "absent.ckpt"), "--task", "caption", "--epochs", "1"] \
-        if command == "finetune" else ["--steps", "1"]
+    if command == "finetune":
+        source = ["--ckpt", str(small_ckpt), "--task", "caption", "--epochs", "1"]
+    else:
+        monkeypatch.setattr("duvlg.cli.load_checkpoint", must_not_run)
+        source = ["--steps", "1"]
+    capsys.readouterr()
     rc = cli_dispatch([command, "--data", str(tmp_path / "absent.tsv"),
                        "--out", str(tmp_path / "out.ckpt"), "--set", setting] + source)
     assert rc == 1
     _one_error_line(capsys, setting.split("=")[0] + " must be")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["finetune", "resume"])
+def test_set_applies_to_the_checkpoint_config(tmp_path, data_file, capsys, command):
+    # --set was checked against the defaults (min_block=4) before the
+    # checkpoint's config, and max_block=3 was refused
+    base, out = tmp_path / "base.ckpt", tmp_path / "out.ckpt"
+    assert cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1", "--out", str(base),
+                         "--set", "min_block=2"] + SMALL) == 0
+    argv = ["pretrain", "--data", str(data_file), "--steps", "1", "--resume", str(base)] \
+        if command == "resume" else ["finetune", "--data", str(data_file), "--ckpt", str(base),
+                                     "--task", "caption", "--epochs", "1"]
+    capsys.readouterr()
+    assert cli_dispatch(argv + ["--out", str(out), "--set", "max_block=3"]) == 0
+    assert "\nmin_block=2\nmax_block=3\n" in capsys.readouterr().out
+    cfg = ck.load_checkpoint(out).config
+    assert (cfg.min_block, cfg.max_block, cfg.d_model) == (2, 3, 16)
 
 
 @pytest.mark.parametrize("edit, text", [

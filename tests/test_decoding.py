@@ -181,11 +181,12 @@ def test_samplers_run_and_respect_modality():
     cfg = DecodeConfig(max_len=6, top_p=0.9, k=3)
     rng = np.random.default_rng(0)
     text_range = set(range(N_SPECIALS, N_SPECIALS + 5))
+    candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
     for _ in range(10):
-        out = dec._sample_text(model, enc, replace(cfg, strategy="nucleus"), rng)
-        assert set(out.tolist()) <= text_range
-        out = dec._sample_text(model, enc, replace(cfg, strategy="topk"), rng)
-        assert set(out.tolist()) <= text_range
+        for strategy in ("nucleus", "topk"):
+            out = dec._sample(model, enc, replace(cfg, strategy=strategy), [rng], SPECIALS.bos,
+                              candidates, cfg.max_len, stop=SPECIALS.eos)
+            assert out[0, 0] == SPECIALS.bos and set(out[0, 1:].tolist()) <= text_range
 
 
 def _log_softmax(logits):
@@ -391,7 +392,9 @@ def test_text_decoders_check_length_first(gen_world, monkeypatch, strategy):
         if strategy == "beam":
             beam_search(model, enc, over)
         else:
-            dec._sample_text(model, enc, over, np.random.default_rng(0))
+            candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
+            dec._sample(model, enc, over, [np.random.default_rng(0)], SPECIALS.bos, candidates,
+                        over.max_len, stop=SPECIALS.eos)
 
 
 def test_decoding_leaves_gradients_untouched(gen_world):

@@ -5,7 +5,9 @@ scheduling change) must keep every hash.  A change that moves bits on
 purpose updates the table below and says why.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ _GOLDEN = {
     "caption_topk": "e5aa3d00aa4a5d8b6aad32a060d72481b22ba4052bf959d450317c2f76ff88fe",
     "image_tokens_nucleus": "3be7154b1ad8cb53a135351aaca9d6bc9c8e83eb7eb9df3590829fa04afc01a1",
     "rerank": "9c632eaa95579559fb1e9a3a0b3d8b659f0f259647beed61a0eb1a0a51b822f7",
+    "caption_nll": "0x1.dcb1955a48af3p+1",
+    "eval_metrics": "91c1c19af41745f1d3d658a835bd6b7924709222e4e6b8dcc0c2092a7ab65e64",
 }
 
 
@@ -69,6 +73,12 @@ def fingerprints(tmp_path_factory):
     out["image_tokens_nucleus"] = _sha(_ids(np.stack(tokens)))
     best, scores = dec.rerank(model, caption, [ex.image for ex in examples[:6]])
     out["rerank"] = _sha(" ".join([str(best)] + [float(s).hex() for s in scores]).encode())
+    out["caption_nll"] = dec.caption_nll(model, examples[0].image, caption).hex()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli_dispatch(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
+    metrics = stdout.getvalue().split("# end config\n", 1)[1]
+    out["eval_metrics"] = _sha(metrics.encode())
     return out
 
 
