@@ -340,16 +340,16 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU with its exact derivative."""
+    """tanh-approximation GELU with its exact derivative.  Only the tanh is
+    kept for backward; ``x * x`` and ``0.5 * (1 + t)`` are recomputed there
+    from the forward's expressions, so the bits are those of keeping them."""
     x = a.values
-    x2 = x * x
-    t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * x2))
-    half_1pt = 0.5 * (1.0 + t)
-    out_vals = x * half_1pt
+    t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * (x * x)))
+    out_vals = x * (0.5 * (1.0 + t))
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        d = half_1pt + x * (0.5 * (1.0 - t * t)) * d_inner
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        d = 0.5 * (1.0 + t) + x * (0.5 * (1.0 - t * t)) * d_inner
         _accum(a, g * d)
 
     return _op(out_vals, (a,), bw)
@@ -361,7 +361,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by row-max subtraction; the
-    reference ``attention_weights`` is tested against."""
+    reference ``attention`` is tested against."""
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_vals = e / e.sum(axis=-1, keepdims=True)
@@ -373,21 +373,46 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _op(out_vals, (a,), bw)
 
 
-def attention_weights(scores: Tensor, scale: float, mask: np.ndarray | None = None) -> Tensor:
-    """``softmax_rows(scores * scale + mask)`` in one buffer, with the same
-    elementwise order; ``mask`` is an additive constant (0 or -inf)."""
-    w = scores.values * scale
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention as one node over head-split queries
+    [B x h x Tq x dh], keys [B' x h x Tk x dh] and values [B' x h x Tk x dv],
+    where B' is B or 1 (one set of keys for every row); ``mask`` is an
+    additive constant (0 or -inf).  Returns the merged heads [B x Tq x h*dv].
+    Only the softmax weights, computed in the scores' own buffer, are kept for
+    backward.  Output and gradients are bitwise equal to the chain ``matmul``,
+    ``mul``, ``add``, ``softmax_rows``, ``matmul``, head merge."""
+    qs, ks, vs = q.values.shape, k.values.shape, v.values.shape
+    if len(qs) != 4 or len(ks) != 4 or len(vs) != 4 or ks[:3] != vs[:3] or qs[1] != ks[1] \
+            or qs[3] != ks[3] or ks[0] not in (1, qs[0]):
+        raise ShapeError(f"attention needs [B x h x T x d] operands, got {qs}, {ks}, {vs}")
+    b, h, tq, _ = qs
+    dv = vs[3]
+    w = q.values @ np.swapaxes(k.values, -1, -2)
+    w *= scale
     if mask is not None:
         w += mask
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
+    out_vals = np.swapaxes(w @ v.values, 1, 2).reshape(b, tq, h * dv)
 
     def bw(g):
-        dot = (g * w).sum(axis=-1, keepdims=True)
-        _accum(scores, ((g - dot) * w) * scale)
+        g = np.swapaxes(g.reshape(b, tq, h, dv), 1, 2)
+        # the chain's order: v, then q, then k (one tensor may be all three)
+        if v.requires_grad:
+            _accum(v, np.swapaxes(w, -1, -2) @ g)
+        if q.requires_grad or k.requires_grad:
+            ds = g @ np.swapaxes(v.values, -1, -2)
+            ds -= (ds * w).sum(axis=-1, keepdims=True)
+            ds *= w
+            ds *= scale
+            if q.requires_grad:
+                _accum(q, ds @ k.values)
+            if k.requires_grad:
+                _accum(k, np.swapaxes(np.swapaxes(q.values, -1, -2) @ ds, -1, -2))
 
-    return _op(w, (scores,), bw)
+    return _op(out_vals, (q, k, v), bw)
 
 
 def _row_mean(v: np.ndarray) -> np.ndarray:

@@ -88,6 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
 _ABLATIONS = (("no_image_loss", "use_image_loss"), ("no_text_loss", "use_text_loss"),
               ("no_commitment", "use_commitment"))
 
+# keys that fix the shapes of a model's parameters or its codec; a restored
+# checkpoint's values of them must stand
+_SHAPE_KEYS = ("d_model", "n_layers_enc", "n_layers_dec", "n_heads", "d_ff", "max_text_len",
+               "image_size", "patch_size", "codebook_size", "d_feat", "d_code")
+
 
 def _load_dataset(path, cfg, model, vocab):
     return dat.load_dataset(path, model.codebook, cfg.grid_dims(), vocab)
@@ -183,6 +188,8 @@ def _cmd_imagine(args, cfg: RunConfig, loaded) -> int:
 
 def _cmd_eval(args, cfg: RunConfig, loaded) -> int:
     model, vocab = loaded.model, loaded.vocab
+    decode_cfg = to_decode_config(cfg, "beam", "text")
+    dec.check_text_len(model, decode_cfg)
     dataset = _load_dataset(args.data, cfg, model, vocab)
     train, val = dat.split_dataset(dataset, cfg.val_frac)
     subset = {"train": train, "val": val, "all": dataset}[args.split]
@@ -190,7 +197,6 @@ def _cmd_eval(args, cfg: RunConfig, loaded) -> int:
         raise ConfigError(f"split {args.split!r} selected no examples")
     caption_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_CAPTION, cfg)
     image_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_T2I, cfg)
-    decode_cfg = to_decode_config(cfg, "beam", "text")
     bleus, exact = [], 0
     for ex in subset:
         hyp = dec.caption_image(model, ex.image, decode_cfg)
@@ -247,6 +253,13 @@ def cli_dispatch(argv) -> int:
                 cfg = load_config(args.config) if args.config else RunConfig()
             cfg = apply_overrides(cfg, args.set + [f"{key}=false" for flag, key in _ABLATIONS
                                                    if getattr(args, flag, False)])
+            if loaded:
+                old = loaded.config
+                changed = [f"{key} {getattr(old, key)} -> {getattr(cfg, key)}"
+                           for key in _SHAPE_KEYS if getattr(cfg, key) != getattr(old, key)]
+                if changed:
+                    raise ConfigError(f"--set cannot change the shapes of a restored model: "
+                                      f"{', '.join(changed)}")
             print(f"# resolved run config\n{format_config(cfg)}\n# end config")
             return _COMMANDS[args.command](args, cfg, loaded)
     except (ConfigError, CheckpointError, ValueError, OSError, op.NonFiniteGradientError,

@@ -115,6 +115,8 @@ class RunConfig:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
+        if not math.isfinite(self.length_norm):
+            raise ConfigError(f"length_norm must be finite, got {self.length_norm}")
 
     def grid_dims(self) -> tuple[int, int]:
         side = self.image_size // self.patch_size

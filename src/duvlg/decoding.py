@@ -9,6 +9,7 @@ smallest token sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,8 +44,10 @@ class DecodeConfig:
             raise ValueError("beam_size, k, n_samples, max_len must be >= 1")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError("temperature must be finite and positive")
+        if not math.isfinite(self.length_norm):
+            raise ValueError("length_norm must be finite")
         if self.modality not in ("text", "image"):
             raise ValueError(f"unknown modality {self.modality!r}")
 
@@ -58,7 +61,7 @@ def allowed_ids(model: DuVlgModel, modality: str) -> np.ndarray:
     return np.arange(N_SPECIALS + cfg.text_vocab, cfg.head_size)
 
 
-def _check_text_len(model: DuVlgModel, cfg: DecodeConfig):
+def check_text_len(model: DuVlgModel, cfg: DecodeConfig):
     """A caption of max_len tokens plus its start token must fit the decoder,
     so that every caption decoded can also be scored by ``caption_scores``."""
     if cfg.max_len + 1 > model.cfg.max_dec_len:
@@ -265,7 +268,7 @@ def rerank(model: DuVlgModel, caption, images) -> tuple[int, list[float]]:
 def caption_image(model: DuVlgModel, image: ImageGrid, cfg: DecodeConfig,
                   rng=None) -> np.ndarray:
     """Decode a caption for an image with the configured strategy."""
-    _check_text_len(model, cfg)
+    check_text_len(model, cfg)
     if cfg.strategy not in ("beam", "greedy") and rng is None:
         raise ValueError("sampling strategies need an rng")
     with ad.no_grad():

@@ -352,9 +352,8 @@ def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor
     additive [B x 1 x 1 x Tk] mask (0 for real keys, -inf for padding).
     With a ``cache``, the keys come from it (see ``_KV``) and the queries are
     the last positions of the key sequence."""
-    d = model.cfg.d_model
-    dh = d // model.cfg.n_heads
-    b, tq, _ = x_q.shape
+    dh = model.cfg.d_model // model.cfg.n_heads
+    tq = x_q.shape[1]
 
     q = ad.linear(x_q, attn.wq, attn.bq)
     kh, vh = _kv_heads(model, attn, x_kv) if cache is None else cache.keys_values(model, attn, x_kv)
@@ -365,10 +364,7 @@ def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor
     if causal and tq > 1:  # a single query sees every cached key
         future = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
         mask = future if key_add is None else future + key_add
-    weights = ad.attention_weights(ad.matmul(qh, ad.swapaxes(kh, 2, 3)),
-                                   1.0 / np.sqrt(dh), mask)
-    gathered = ad.reshape(ad.swapaxes(ad.matmul(weights, vh), 1, 2), (b, tq, d))
-    return ad.linear(gathered, attn.wo, attn.bo)
+    return ad.linear(ad.attention(qh, kh, vh, 1.0 / np.sqrt(dh), mask), attn.wo, attn.bo)
 
 
 def _ffn(x: Tensor, w1, b1, w2, b2) -> Tensor:

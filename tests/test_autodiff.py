@@ -264,8 +264,8 @@ def test_all_ops_gradcheck_randomized(seed):
     w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
     ids = rng.integers(0, 5, 4)
     tgt = rng.integers(0, 3, 6)
-    mask = np.where(rng.uniform(size=(4, 6)) < 0.3, -np.inf, 0.0)
-    mask[:, 0] = 0.0  # every row keeps a key
+    mask = np.where(rng.uniform(size=(2, 1, 2, 2)) < 0.3, -np.inf, 0.0)
+    mask[..., 0] = 0.0  # every query keeps a key
     v = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
     c = Tensor(rng.uniform(-0.5, 0.5, 3), requires_grad=True)
 
@@ -274,7 +274,8 @@ def test_all_ops_gradcheck_randomized(seed):
         h = ad.layer_norm(ad.add(x, rows), g, b)
         h = ad.gelu(h)
         h = ad.softmax_rows(h)
-        h = ad.attention_weights(h, 1.7, mask)
+        h4 = ad.reshape(h, (2, 2, 2, 3))  # batch 2, 2 heads, 2 positions, 3 dims
+        h = ad.reshape(ad.attention(h4, ad.tanh(h4), ad.gelu(h4), 1.7, mask), (4, 6))
         h3 = ad.reshape(h, (2, 2, 6))
         h3 = ad.swapaxes(h3, 0, 1)
         h = ad.reshape(h3, (4, 6))
@@ -329,81 +330,158 @@ def test_repeated_backward_reproduces():
     assert x.grad is None
 
 
-def _chain_attention(scores, scale, masks):
-    """The unfused reference: mul by the scale, add each mask, softmax_rows."""
-    out = ad.mul(scores, Tensor(scale))
+def _chain_attention(q, k, v, scale, masks):
+    """The unfused reference: matmul, mul by the scale, add each mask,
+    softmax_rows, matmul, then the head merge."""
+    b, h, tq, dh = q.shape
+    out = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), Tensor(scale))
     for m in masks:
         out = ad.add(out, Tensor(m))
-    return ad.softmax_rows(out)
+    out = ad.matmul(ad.softmax_rows(out), v)
+    return ad.reshape(ad.swapaxes(out, 1, 2), (b, tq, h * dh))
 
 
-def _attention_cases():
+def _attention_cases(kv_batch=3):
     rng = np.random.default_rng(5)
-    b, h, tq, tk = 3, 2, 4, 6
+    b, h, tq, tk, dh = 3, 2, 4, 6, 5
     causal = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
     keys = np.zeros((b, 1, 1, tk))
     keys[0, ..., 4:] = -np.inf
     keys[2, ..., 5:] = -np.inf
-    scores = rng.normal(size=(b, h, tq, tk)) * 3.0
-    upstream = rng.normal(size=(b, h, tq, tk))
-    return scores, upstream, {"none": [], "causal": [causal], "keys": [keys],
-                              "causal+keys": [causal, keys]}
+    qkv = (rng.normal(size=(b, h, tq, dh)) * 1.5, rng.normal(size=(kv_batch, h, tk, dh)) * 1.5,
+           rng.normal(size=(kv_batch, h, tk, dh)))
+    upstream = rng.normal(size=(b, tq, h * dh))
+    return qkv, upstream, {"none": [], "causal": [causal], "keys": [keys],
+                           "causal+keys": [causal, keys]}
 
 
-@pytest.mark.parametrize("case", ["none", "causal", "keys", "causal+keys"])
-def test_attention_weights_bitwise_equals_unfused_chain(case):
-    values, upstream, cases = _attention_cases()
-    masks = cases[case]
+def _combined(masks):
     combined = None
     for m in masks:
         combined = m if combined is None else combined + m
+    return combined
+
+
+def _run_attention(build, qkv, upstream, needs_grad=(True, True, True)):
+    """Output and the q, k, v gradients of ``build(q, k, v)`` under a fixed
+    upstream gradient."""
+    q, k, v = (Tensor(a.copy(), requires_grad=r) for a, r in zip(qkv, needs_grad))
+    out = build(q, k, v)
+    ad.backward(ad.mul(out, Tensor(upstream)).sum())
+    return [out.values, q.grad, k.grad, v.grad]
+
+
+def _assert_same_bits(fused, ref):
+    for a, r in zip(fused, ref):
+        assert (a is None and r is None) or np.array_equal(a, r)
+
+
+@pytest.mark.parametrize("case", ["none", "causal", "keys", "causal+keys"])
+def test_attention_bitwise_equals_unfused_chain(case):
+    qkv, upstream, cases = _attention_cases()
+    masks = cases[case]
     scale = 1.0 / np.sqrt(8)
+    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, scale, masks), qkv, upstream)
+    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, scale, _combined(masks)),
+                           qkv, upstream)
+    _assert_same_bits(fused, ref)
+    if masks:  # with identity values the output is the weights themselves
+        b, h, tq, _ = qkv[0].shape
+        tk = qkv[1].shape[2]
+        eye = Tensor(np.broadcast_to(np.eye(tk), (b, h, tk, tk)))
+        out = ad.attention(Tensor(qkv[0]), Tensor(qkv[1]), eye, scale, _combined(masks))
+        weights = np.swapaxes(out.values.reshape(b, tq, h, tk), 1, 2)
+        masked = np.isneginf(np.broadcast_to(_combined(masks), weights.shape))
+        assert masked.any() and np.all(weights[masked] == 0.0)
+
+
+@pytest.mark.parametrize("needs_grad", [(True, False, False), (False, True, False),
+                                        (False, False, True), (True, True, False)],
+                         ids=["q", "k", "v", "q+k"])
+def test_attention_grads_only_the_parents_that_need_one(needs_grad):
+    qkv, upstream, cases = _attention_cases()
+    mask = _combined(cases["causal+keys"])
+    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, 0.5, cases["causal+keys"]),
+                         qkv, upstream, needs_grad)
+    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, 0.5, mask), qkv, upstream,
+                           needs_grad)
+    assert [g is None for g in fused[1:]] == [not r for r in needs_grad]
+    _assert_same_bits(fused, ref)
+
+
+def test_attention_broadcasts_batch_one_keys():
+    # cached cross-attention: one encoding's keys serve every query row
+    qkv, upstream, cases = _attention_cases(kv_batch=1)
+    masks = cases["causal"]
+    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, 0.5, masks), qkv, upstream)
+    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, 0.5, _combined(masks)),
+                           qkv, upstream)
+    assert fused[2].shape == qkv[1].shape and fused[3].shape == qkv[2].shape
+    _assert_same_bits(fused, ref)
+
+
+def test_attention_shared_input_accumulates_in_chain_order():
+    # one tensor as q, k and v gets its three contributions in the chain's order
+    qkv, upstream, _ = _attention_cases()
+    causal = np.triu(np.full((4, 4), -np.inf), k=1)
     grads = []
-    for build in (lambda s: _chain_attention(s, scale, masks),
-                  lambda s: ad.attention_weights(s, scale, combined)):
-        scores = Tensor(values.copy(), requires_grad=True)
-        out = build(scores)
-        ad.backward(ad.mul(out, Tensor(upstream)).sum())
-        grads.append((out.values, scores.grad))
-    (ref_out, ref_grad), (out, grad) = grads
-    assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
-    if masks:
-        assert np.all(out[np.isneginf(np.broadcast_to(combined, out.shape))] == 0.0)
+    for build in (lambda x: _chain_attention(x, x, x, 0.5, [causal]),
+                  lambda x: ad.attention(x, x, x, 0.5, causal)):
+        x0 = Tensor(qkv[0].copy(), requires_grad=True)
+        x = ad.tanh(x0)
+        ad.backward(ad.mul(build(x), Tensor(upstream)).sum())
+        grads.append(x0.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_attention_rejects_mismatched_operands():
+    q = Tensor(np.zeros((3, 2, 4, 5)))
+    kv = np.zeros((3, 2, 6, 5))
+    for bad_q, bad_k, bad_v in ((q.values[0], kv, kv), (q.values, kv[:, :1], kv[:, :1]),
+                                (q.values, kv[..., :4], kv), (q.values, kv, kv[:, :, :5]),
+                                (q.values, kv[:2], kv[:2]), (q.values, kv, kv[0])):
+        with pytest.raises(ad.ShapeError):
+            ad.attention(Tensor(bad_q), Tensor(bad_k), Tensor(bad_v), 0.5)
 
 
 def test_single_query_attention_needs_no_causal_mask():
     rng = np.random.default_rng(6)
-    b, h, tk = 3, 2, 7
-    values = rng.normal(size=(b, h, 1, tk))
-    values[0, 0, 0, :3] = -0.0  # the sign a zero mask would flip
-    values[1, 1, 0, :] = 0.0
-    upstream = rng.normal(size=values.shape)
+    b, h, tk, dh = 3, 2, 7, 4
+    q = rng.normal(size=(b, h, 1, dh))
+    k = rng.normal(size=(b, h, tk, dh))
+    v = rng.normal(size=(b, h, tk, dh))
+    # scores of -5e-324 scale to -0.0: the sign a zero mask would flip
+    q[0, 0, 0] = [-5e-324, 0.0, 0.0, 0.0]
+    k[0, 0, :3] = [1.0, 0.0, 0.0, 0.0]
+    q[1, 1, 0] = 0.0
+    scaled = (q @ np.swapaxes(k, -1, -2)) * 0.5
+    assert np.signbit(scaled[0, 0, 0, :3]).all() and np.all(scaled[0, 0, 0, :3] == 0.0)
+    upstream = rng.normal(size=(b, 1, h * dh))
     keys = np.zeros((b, 1, 1, tk))
     keys[2, ..., 5:] = -np.inf
     # the causal mask of one query over tk keys has no masked entry
     causal = np.triu(np.full((1, tk), -np.inf), k=tk)
     assert np.array_equal(causal, np.zeros((1, tk)))
+
+    def run(mask):
+        return _run_attention(lambda *qkv: ad.attention(*qkv, 0.5, mask), (q, k, v), upstream)
+
     for masked, bare in ((causal, None), (causal + keys, keys)):
-        grads = []
-        for mask in (masked, bare):
-            scores = Tensor(values.copy(), requires_grad=True)
-            out = ad.attention_weights(scores, 0.5, mask)
-            ad.backward(ad.mul(out, Tensor(upstream)).sum())
-            grads.append((out.values, scores.grad))
-        (ref_out, ref_grad), (out, grad) = grads
-        assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
+        _assert_same_bits(run(bare), run(masked))
 
 
-def test_attention_weights_no_grad_matches_and_builds_no_graph():
-    values, _, cases = _attention_cases()
-    causal, keys = cases["causal+keys"]
-    scores = Tensor(values, requires_grad=True)
-    ref = ad.attention_weights(scores, 0.5, causal + keys)
+def test_attention_no_grad_matches_and_builds_no_graph():
+    qkv, _, cases = _attention_cases()
+    mask = _combined(cases["causal+keys"])
+    q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
+    copies = [a.copy() for a in qkv]
+    ref = ad.attention(q, k, v, 0.5, mask)
     with ad.no_grad():
-        out = ad.attention_weights(scores, 0.5, causal + keys)
-    assert out.parents == () and not out.requires_grad
+        out = ad.attention(q, k, v, 0.5, mask)
+    assert out.parents == () and out._backward_fn is None and not out.requires_grad
     assert np.array_equal(out.values, ref.values)
-    assert np.array_equal(values, scores.values)  # the input is not overwritten
+    for t, a in zip((q, k, v), copies):  # no input is overwritten
+        assert np.array_equal(t.values, a)
 
 
 def _chain_linear(x, w, b):

@@ -181,7 +181,8 @@ _OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t
                  "aspect_min=0", "aspect_min=1.5", "aspect_min=nan", "span_lambda=-1",
                  "span_lambda=nan", "span_lambda=inf", "image_size=30", "image_size=0",
                  "patch_size=0", "beam_size=0", "top_k=0", "n_samples=0", "max_decode_len=0",
-                 "temperature=0", "temperature=-1", "temperature=nan", "temperature=inf"]
+                 "temperature=0", "temperature=-1", "temperature=nan", "temperature=inf",
+                 "length_norm=nan", "length_norm=inf", "length_norm=-inf"]
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +215,52 @@ def test_out_of_range_config_fails_before_building(tmp_path, monkeypatch, capsys
     assert rc == 1
     _one_error_line(capsys, setting.split("=")[0] + " must be")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("setting", ["d_model=32", "n_layers_enc=2", "n_layers_dec=2", "n_heads=4",
+                                     "d_ff=64", "max_text_len=30", "image_size=32", "patch_size=8",
+                                     "codebook_size=32", "d_feat=16", "d_code=16"])
+@pytest.mark.parametrize("command", ["resume", "finetune"])
+def test_restoring_commands_refuse_shape_changes(tmp_path, monkeypatch, capsys, small_ckpt,
+                                                 command, setting):
+    # such a --set used to save a checkpoint whose header disagrees with its
+    # parameter shapes, which no later command could load
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("loaded the data despite a shape change")
+
+    monkeypatch.setattr("duvlg.cli._load_dataset", must_not_run)
+    argv = ["pretrain", "--resume", str(small_ckpt), "--steps", "1"] if command == "resume" \
+        else ["finetune", "--ckpt", str(small_ckpt), "--task", "caption", "--epochs", "1"]
+    capsys.readouterr()
+    rc = cli_dispatch(argv + ["--data", str(tmp_path / "absent.tsv"), "--out",
+                              str(tmp_path / "out.ckpt"), "--log", str(tmp_path / "log.tsv"),
+                              "--set", setting])
+    assert rc == 1
+    key, value = setting.split("=")
+    stored = getattr(ck.load_checkpoint(small_ckpt).config, key)
+    _one_error_line(capsys, f"shapes of a restored model: {key} {stored} -> {value}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_restoring_commands_accept_unchanged_shape_keys(tmp_path, data_file, small_ckpt):
+    out = tmp_path / "out.ckpt"
+    assert cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1", "--resume",
+                         str(small_ckpt), "--out", str(out), "--set", "d_model=16",
+                         "--set", "image_size=16"]) == 0
+    assert ck.load_checkpoint(out).config.d_model == 16
+
+
+def test_eval_refuses_long_decoding_before_the_nll_passes(data_file, monkeypatch, capsys,
+                                                          small_ckpt):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("ran a held-out NLL pass despite a too-long max_decode_len")
+
+    monkeypatch.setattr("duvlg.cli.op.evaluate_task_nll", must_not_run)
+    capsys.readouterr()
+    rc = cli_dispatch(["eval", "--ckpt", str(small_ckpt), "--data", str(data_file),
+                       "--set", "max_decode_len=40"])
+    assert rc == 1
+    _one_error_line(capsys, "max_len 40 needs 41 decoder positions; max decoder length is 26")
 
 
 @pytest.mark.parametrize("command", ["finetune", "resume"])

@@ -231,6 +231,21 @@ def test_pick_rejects_beam():
         dec._pick(np.zeros((1, 3)), DecodeConfig(strategy="beam"), [np.random.default_rng(0)])
 
 
+@pytest.mark.parametrize("field, value, text", [
+    ("temperature", float("nan"), "temperature must be finite and positive"),
+    ("temperature", float("inf"), "temperature must be finite and positive"),
+    ("temperature", 0.0, "temperature must be finite and positive"),
+    ("length_norm", float("nan"), "length_norm must be finite"),
+    ("length_norm", float("inf"), "length_norm must be finite"),
+    ("length_norm", -float("inf"), "length_norm must be finite"),
+])
+def test_decode_config_refuses_non_finite_settings(field, value, text):
+    # temperature=nan passed the "<= 0" check, and length_norm=nan made beam
+    # search prefer the empty caption
+    with pytest.raises(ValueError, match=text):
+        DecodeConfig(**{field: value})
+
+
 @pytest.fixture(scope="module")
 def gen_world():
     cfg = ModelConfig(d_model=16, n_layers_enc=1, n_layers_dec=1, n_heads=2, d_ff=32,

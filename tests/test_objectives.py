@@ -10,7 +10,7 @@ from duvlg.autodiff import Tensor
 from duvlg.codec import PatchFeaturizer, VisualCodebook
 from duvlg.data import TextVocab, gen_dataset
 from duvlg.model import SPECIALS, ModelConfig, N_SPECIALS
-from duvlg.config import RunConfig
+from duvlg.config import RunConfig, build_model
 from duvlg.objectives import TaskKind
 
 
@@ -285,3 +285,26 @@ def test_sampler_draw_order_pinned(allow, expected, next_draw):
     assert [obj.sample_task(rng, 0.6, **allow) for _ in range(20)] \
         == [_KIND[k] for k in expected.split()]
     assert rng.random() == next_draw
+
+
+def test_default_inpainting_graph_holds_no_attention_scores():
+    # each attention block is one node that keeps its softmax weights for
+    # backward, so the only per-head nodes are the head-split q, k and v
+    # [B x h x T x dh]; an unfused block adds its [B x h x Tq x Tk] scores and
+    # weights, and its transposed keys [B x h x dh x Tk]
+    cfg = RunConfig()
+    model, vocab = build_model(cfg)
+    examples = gen_dataset(cfg.batch_size, 0, model.codebook, cfg.grid_dims(), vocab)
+    batch = obj.build_task_batch(examples, TaskKind.DAE_IMAGE, np.random.default_rng(0),
+                                 model, cfg)
+    stack, seen, per_head = list(obj.task_terms(batch, model).values()), set(), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node.values.ndim == 4 and node.shape[:2] == (cfg.batch_size, cfg.n_heads):
+                per_head.append(node.shape)
+    dh = cfg.d_model // cfg.n_heads
+    assert per_head  # the head-split queries, keys and values are there
+    assert [s for s in per_head if s[3] != dh] == []
