@@ -373,46 +373,58 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _op(out_vals, (a,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head attention as one node over head-split queries
-    [B x h x Tq x dh], keys [B' x h x Tk x dh] and values [B' x h x Tk x dv],
-    where B' is B or 1 (one set of keys for every row); ``mask`` is an
-    additive constant (0 or -inf).  Returns the merged heads [B x Tq x h*dv].
-    Only the softmax weights, computed in the scores' own buffer, are kept for
-    backward.  Output and gradients are bitwise equal to the chain ``matmul``,
-    ``mul``, ``add``, ``softmax_rows``, ``matmul``, head merge."""
-    qs, ks, vs = q.values.shape, k.values.shape, v.values.shape
-    if len(qs) != 4 or len(ks) != 4 or len(vs) != 4 or ks[:3] != vs[:3] or qs[1] != ks[1] \
-            or qs[3] != ks[3] or ks[0] not in (1, qs[0]):
-        raise ShapeError(f"attention needs [B x h x T x d] operands, got {qs}, {ks}, {vs}")
-    b, h, tq, _ = qs
-    dv = vs[3]
-    w = q.values @ np.swapaxes(k.values, -1, -2)
+    """Multi-head attention as one node from the projections, queries
+    [B x Tq x d] and keys and values [B' x Tk x d] (B' is B or 1: one set of
+    keys for every row), to the merged heads [B x Tq x d].  The heads are
+    views of the projections, the scores are scaled by 1/sqrt(d/h), and
+    ``mask`` is an additive constant (0 or -inf) over them.  Only the softmax
+    weights, computed in the scores' own buffer, are kept for backward.
+    Output and gradients are bitwise equal to the chain head split,
+    ``matmul``, ``mul``, ``add``, ``softmax_rows``, ``matmul``, head merge."""
+    qs, ks = q.values.shape, k.values.shape
+    if len(qs) != 3 or ks != v.values.shape or len(ks) != 3 or qs[2] != ks[2] \
+            or ks[0] not in (1, qs[0]) or n_heads < 1 or qs[2] % n_heads:
+        raise ShapeError(f"attention needs [B x T x d] operands with d divisible by "
+                         f"{n_heads} heads, got {qs}, {ks}, {v.shape}")
+    dh = qs[2] // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(x):  # [B x T x d] -> [B x h x T x dh], a view where x allows it
+        return np.swapaxes(x.reshape(x.shape[0], x.shape[1], n_heads, dh), 1, 2)
+
+    def merged_matmul(a, b):  # a @ b written through the head view of [B x T x d]
+        out = np.empty((a.shape[0], a.shape[2], qs[2]))
+        np.matmul(a, b, out=heads(out))
+        return out
+
+    qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
+    w = qh @ np.swapaxes(kh, -1, -2)
     w *= scale
     if mask is not None:
         w += mask
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    out_vals = np.swapaxes(w @ v.values, 1, 2).reshape(b, tq, h * dv)
 
     def bw(g):
-        g = np.swapaxes(g.reshape(b, tq, h, dv), 1, 2)
+        g = heads(g)
         # the chain's order: v, then q, then k (one tensor may be all three)
         if v.requires_grad:
-            _accum(v, np.swapaxes(w, -1, -2) @ g)
+            _accum(v, merged_matmul(np.swapaxes(w, -1, -2), g))
         if q.requires_grad or k.requires_grad:
-            ds = g @ np.swapaxes(v.values, -1, -2)
+            ds = g @ np.swapaxes(vh, -1, -2)
             ds -= (ds * w).sum(axis=-1, keepdims=True)
             ds *= w
             ds *= scale
             if q.requires_grad:
-                _accum(q, ds @ k.values)
-            if k.requires_grad:
-                _accum(k, np.swapaxes(np.swapaxes(q.values, -1, -2) @ ds, -1, -2))
+                _accum(q, merged_matmul(ds, kh))
+            if k.requires_grad:  # (q^T @ ds)^T, merged by one copy
+                gk = np.swapaxes(qh, -1, -2) @ ds  # [B x h x dh x Tk]
+                _accum(k, gk.transpose(0, 3, 1, 2).reshape(gk.shape[0], -1, qs[2]))
 
-    return _op(out_vals, (q, k, v), bw)
+    return _op(merged_matmul(w, vh), (q, k, v), bw)
 
 
 def _row_mean(v: np.ndarray) -> np.ndarray:

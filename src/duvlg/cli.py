@@ -162,6 +162,9 @@ def _cmd_finetune(args, cfg: RunConfig, loaded) -> int:
 
 def _cmd_caption(args, cfg: RunConfig, loaded) -> int:
     image = load_image(args.image)
+    if (image.height, image.width) != (cfg.image_size, cfg.image_size):
+        raise ValueError(f"{args.image}: image is {image.height}x{image.width}, the model reads "
+                         f"{cfg.image_size}x{cfg.image_size}")
     tokens = dec.caption_image(loaded.model, image, to_decode_config(cfg, "beam", "text"))
     print(dat.decode_text(tokens, loaded.vocab))
     return 0

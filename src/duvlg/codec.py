@@ -35,8 +35,8 @@ class ImageGrid:
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3 or px.shape[2] != 3:
-            raise ValueError(f"image must be [H x W x 3], got {px.shape}")
+        if px.ndim != 3 or px.shape[2] != 3 or px.shape[0] < 1 or px.shape[1] < 1:
+            raise ValueError(f"image must be [H x W x 3] with H, W >= 1, got {px.shape}")
         if not np.isfinite(px).all():
             raise ValueError(f"image has {int((~np.isfinite(px)).sum())} non-finite pixel values")
         self.pixels = np.clip(px, 0.0, 1.0)
@@ -64,9 +64,7 @@ class PatchSequence:
 
 def extract_patches(img: ImageGrid, p: int) -> np.ndarray:
     """Flatten an image into [n_patches x p*p*3] row-major patch vectors."""
-    if img.height % p or img.width % p:
-        raise ValueError(f"image {img.height}x{img.width} not divisible by patch size {p}")
-    rows, cols = img.height // p, img.width // p
+    rows, cols = patch_grid_dims(img, p)
     px = img.pixels.reshape(rows, p, cols, p, 3)
     return np.ascontiguousarray(px.transpose(0, 2, 1, 3, 4)).reshape(rows * cols, p * p * 3)
 
@@ -106,8 +104,9 @@ class PatchFeaturizer:
         return PatchSequence(features=Tensor(feats), grid_dims=grid_dims)
 
     def featurize_image(self, img: ImageGrid) -> PatchSequence:
-        dims = patch_grid_dims(img, self.patch_size)
-        return self.featurize(extract_patches(img, self.patch_size), dims)
+        p = self.patch_size
+        patches = extract_patches(img, p)  # checks that p divides the image
+        return self.featurize(patches, (img.height // p, img.width // p))
 
 
 # Codeword radii: inf-norm of a rendered patch offset is bounded by the

@@ -92,8 +92,10 @@ class RunConfig:
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
         if not self.clip_norm >= 0:
             raise ConfigError(f"clip_norm must be >= 0, got {self.clip_norm}")
-        if not (math.isfinite(self.span_lambda) and self.span_lambda >= 0):
-            raise ConfigError(f"span_lambda must be finite and >= 0, got {self.span_lambda}")
+        for key in ("alpha", "beta", "span_lambda"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
         if self.min_block < 1:
             raise ConfigError(f"min_block must be >= 1, got {self.min_block}")
         if self.max_block < self.min_block:

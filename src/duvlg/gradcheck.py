@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .codec import ImageGrid, PatchFeaturizer, VisualCodebook
 from .config import RunConfig
-from .data import TextVocab
+from .data import PairedExample, TextVocab
 from .model import ModelConfig, N_SPECIALS, init_model
 from .objectives import TaskKind, build_task_batch, loss_commitment, task_nll
 
@@ -39,18 +39,11 @@ class LossAudit:
     sg_blocked_params: tuple[str, ...] = ()
 
 
-def _micro_example(cfg: ModelConfig, patch_size: int, seed: int):
+def _micro_example(cfg: ModelConfig, patch_size: int, seed: int) -> PairedExample:
     rng = np.random.default_rng(seed)
     image = ImageGrid(rng.uniform(0, 1, (patch_size, 3 * patch_size, 3)))  # 1x3 patches
     caption = rng.integers(N_SPECIALS, N_SPECIALS + cfg.text_vocab, size=4)
-
-    class _Ex:
-        pass
-
-    ex = _Ex()
-    ex.image = image
-    ex.caption = caption
-    return ex
+    return PairedExample(image, caption, meta=())
 
 
 def run_gradient_audit(h: float = 1e-5, seed: int = 0, beta: float = 1.0) -> list[LossAudit]:

@@ -13,11 +13,12 @@ There is one forward implementation, over batches: ``encode_batch`` and
 ``decode_forward_batch``; ``encode`` and ``decode_forward`` are its size-1
 views.  Decoding steps the same decoder incrementally through a
 ``DecoderCache``: per decoder layer, self-attention keys and values live in
-preallocated float64 buffers [B x h x capacity x d/h] whose first ``length``
+preallocated float64 buffers [B x capacity x d] whose first ``length``
 positions are filled, one position per row per step, and cross-attention
-keys and values [B_enc x h x L x d/h] are projected once from the encoder
-states.  ``DecoderCache.reorder`` permutes the self-attention rows when beam
-search keeps a hypothesis.
+keys and values [B_enc x L x d] are projected once from the encoder states.
+``autodiff.attention`` splits the heads as views of these buffers.
+``DecoderCache.reorder`` permutes the self-attention rows when beam search
+keeps a hypothesis.
 
 Parameter count (d = d_model, F = d_ff, S = 8 specials, D = max decoder
 length = max(max_text_len, max_patches) + 2):
@@ -277,48 +278,39 @@ def init_model(cfg: ModelConfig, seed: int,
 # forward passes
 
 
-def _split_heads(model: DuVlgModel, x: Tensor) -> Tensor:
-    """[B x T x d] -> [B x h x T x d/h]."""
-    h = model.cfg.n_heads
-    b, t, d = x.shape
-    return ad.swapaxes(ad.reshape(x, (b, t, h, d // h)), 1, 2)
-
-
-def _kv_heads(model: DuVlgModel, attn: _Attention, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-    k = ad.linear(x_kv, attn.wk, attn.bk)
-    v = ad.linear(x_kv, attn.wv, attn.bv)
-    return _split_heads(model, k), _split_heads(model, v)
+def _project_kv(attn: _Attention, x_kv: Tensor) -> tuple[Tensor, Tensor]:
+    return ad.linear(x_kv, attn.wk, attn.bk), ad.linear(x_kv, attn.wv, attn.bv)
 
 
 class _KV:
-    """Head-split keys and values [B x h x T x dh] of one attention block,
-    kept across incremental decoding steps.  With a capacity, each step's
-    keys are appended into preallocated buffers (self-attention); without
-    one, the keys of the first step are reused by every later step
-    (cross-attention over fixed encoder states)."""
+    """Keys and values [B x T x d] of one attention block, kept across
+    incremental decoding steps.  With a capacity, each step's keys are
+    appended into preallocated buffers (self-attention); without one, the
+    keys of the first step are reused by every later step (cross-attention
+    over fixed encoder states)."""
 
     def __init__(self, capacity: int | None = None):
         self.capacity = capacity
         self.k = self.v = None
         self.length = 0
 
-    def keys_values(self, model: DuVlgModel, attn: _Attention, x_kv: Tensor):
+    def keys_values(self, attn: _Attention, x_kv: Tensor):
         if self.capacity is None:
             if self.k is None:
-                self.k, self.v = _kv_heads(model, attn, x_kv)
+                self.k, self.v = _project_kv(attn, x_kv)
             return self.k, self.v
-        kh, vh = _kv_heads(model, attn, x_kv)
-        b, h, t, dh = kh.shape
+        k, v = _project_kv(attn, x_kv)
+        b, t, d = k.shape
         end = self.length + t
         if end > self.capacity:
             raise ValueError(f"{end} positions exceeds decoder cache capacity {self.capacity}")
         if self.k is None:
-            self.k = np.empty((b, h, self.capacity, dh))
-            self.v = np.empty((b, h, self.capacity, dh))
-        self.k[:, :, self.length:end] = kh.values
-        self.v[:, :, self.length:end] = vh.values
+            self.k = np.empty((b, self.capacity, d))
+            self.v = np.empty((b, self.capacity, d))
+        self.k[:, self.length:end] = k.values
+        self.v[:, self.length:end] = v.values
         self.length = end
-        return Tensor(self.k[:, :, :end]), Tensor(self.v[:, :, :end])
+        return Tensor(self.k[:, :end]), Tensor(self.v[:, :end])
 
 
 class DecoderCache:
@@ -352,19 +344,15 @@ def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor
     additive [B x 1 x 1 x Tk] mask (0 for real keys, -inf for padding).
     With a ``cache``, the keys come from it (see ``_KV``) and the queries are
     the last positions of the key sequence."""
-    dh = model.cfg.d_model // model.cfg.n_heads
-    tq = x_q.shape[1]
-
     q = ad.linear(x_q, attn.wq, attn.bq)
-    kh, vh = _kv_heads(model, attn, x_kv) if cache is None else cache.keys_values(model, attn, x_kv)
-    qh = _split_heads(model, q)
-    tk = kh.shape[2]
+    k, v = _project_kv(attn, x_kv) if cache is None else cache.keys_values(attn, x_kv)
+    tq, tk = q.shape[1], k.shape[1]
 
     mask = key_add
     if causal and tq > 1:  # a single query sees every cached key
         future = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
         mask = future if key_add is None else future + key_add
-    return ad.linear(ad.attention(qh, kh, vh, 1.0 / np.sqrt(dh), mask), attn.wo, attn.bo)
+    return ad.linear(ad.attention(q, k, v, model.cfg.n_heads, mask), attn.wo, attn.bo)
 
 
 def _ffn(x: Tensor, w1, b1, w2, b2) -> Tensor:

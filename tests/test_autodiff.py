@@ -274,8 +274,8 @@ def test_all_ops_gradcheck_randomized(seed):
         h = ad.layer_norm(ad.add(x, rows), g, b)
         h = ad.gelu(h)
         h = ad.softmax_rows(h)
-        h4 = ad.reshape(h, (2, 2, 2, 3))  # batch 2, 2 heads, 2 positions, 3 dims
-        h = ad.reshape(ad.attention(h4, ad.tanh(h4), ad.gelu(h4), 1.7, mask), (4, 6))
+        h3 = ad.reshape(h, (2, 2, 6))  # batch 2, 2 positions, 2 heads of 3 dims
+        h = ad.reshape(ad.attention(h3, ad.tanh(h3), ad.gelu(h3), 2, mask), (4, 6))
         h3 = ad.reshape(h, (2, 2, 6))
         h3 = ad.swapaxes(h3, 0, 1)
         h = ad.reshape(h3, (4, 6))
@@ -330,27 +330,40 @@ def test_repeated_backward_reproduces():
     assert x.grad is None
 
 
-def _chain_attention(q, k, v, scale, masks):
-    """The unfused reference: matmul, mul by the scale, add each mask,
-    softmax_rows, matmul, then the head merge."""
-    b, h, tq, dh = q.shape
-    out = ad.mul(ad.matmul(q, ad.swapaxes(k, 2, 3)), Tensor(scale))
+def _chain_attention(q, k, v, n_heads, masks):
+    """The unfused reference: the head split of k, q and v (reshape, then
+    swapaxes), matmul, mul by the scale, add each mask, softmax_rows, matmul,
+    then the head merge.  Splitting in that order makes a tensor shared by
+    q, k and v receive its gradients in the fused op's order: v, q, k."""
+    b, tq, d = q.shape
+    dh = d // n_heads
+
+    def heads(x):
+        return ad.swapaxes(ad.reshape(x, (x.shape[0], x.shape[1], n_heads, dh)), 1, 2)
+
+    kh, qh, vh = heads(k), heads(q), heads(v)
+    out = ad.mul(ad.matmul(qh, ad.swapaxes(kh, 2, 3)), Tensor(1.0 / np.sqrt(dh)))
     for m in masks:
         out = ad.add(out, Tensor(m))
-    out = ad.matmul(ad.softmax_rows(out), v)
-    return ad.reshape(ad.swapaxes(out, 1, 2), (b, tq, h * dh))
+    out = ad.matmul(ad.softmax_rows(out), vh)
+    return ad.reshape(ad.swapaxes(out, 1, 2), (b, tq, d))
+
+
+_HEADS = 2
 
 
 def _attention_cases(kv_batch=3):
+    # dh = tk, so identity values [tk x tk] per head fit the value width
     rng = np.random.default_rng(5)
-    b, h, tq, tk, dh = 3, 2, 4, 6, 5
+    b, tq, tk, dh = 3, 4, 6, 6
+    d = _HEADS * dh
     causal = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
     keys = np.zeros((b, 1, 1, tk))
     keys[0, ..., 4:] = -np.inf
     keys[2, ..., 5:] = -np.inf
-    qkv = (rng.normal(size=(b, h, tq, dh)) * 1.5, rng.normal(size=(kv_batch, h, tk, dh)) * 1.5,
-           rng.normal(size=(kv_batch, h, tk, dh)))
-    upstream = rng.normal(size=(b, tq, h * dh))
+    qkv = (rng.normal(size=(b, tq, d)) * 1.5, rng.normal(size=(kv_batch, tk, d)) * 1.5,
+           rng.normal(size=(kv_batch, tk, d)))
+    upstream = rng.normal(size=(b, tq, d))
     return qkv, upstream, {"none": [], "causal": [causal], "keys": [keys],
                            "causal+keys": [causal, keys]}
 
@@ -380,19 +393,19 @@ def _assert_same_bits(fused, ref):
 def test_attention_bitwise_equals_unfused_chain(case):
     qkv, upstream, cases = _attention_cases()
     masks = cases[case]
-    scale = 1.0 / np.sqrt(8)
-    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, scale, masks), qkv, upstream)
-    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, scale, _combined(masks)),
+    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, _HEADS, masks), qkv, upstream)
+    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
                            qkv, upstream)
     _assert_same_bits(fused, ref)
-    if masks:  # with identity values the output is the weights themselves
-        b, h, tq, _ = qkv[0].shape
-        tk = qkv[1].shape[2]
-        eye = Tensor(np.broadcast_to(np.eye(tk), (b, h, tk, tk)))
-        out = ad.attention(Tensor(qkv[0]), Tensor(qkv[1]), eye, scale, _combined(masks))
-        weights = np.swapaxes(out.values.reshape(b, tq, h, tk), 1, 2)
+    if masks:  # with identity values per head the output is the weights themselves
+        b, tq, _ = qkv[0].shape
+        tk = qkv[1].shape[1]
+        eye = Tensor(np.broadcast_to(np.tile(np.eye(tk), _HEADS), (b, tk, _HEADS * tk)))
+        out = ad.attention(Tensor(qkv[0]), Tensor(qkv[1]), eye, _HEADS, _combined(masks))
+        weights = np.swapaxes(out.values.reshape(b, tq, _HEADS, tk), 1, 2)
         masked = np.isneginf(np.broadcast_to(_combined(masks), weights.shape))
         assert masked.any() and np.all(weights[masked] == 0.0)
+        assert np.allclose(weights.sum(axis=-1), 1.0)
 
 
 @pytest.mark.parametrize("needs_grad", [(True, False, False), (False, True, False),
@@ -400,21 +413,21 @@ def test_attention_bitwise_equals_unfused_chain(case):
                          ids=["q", "k", "v", "q+k"])
 def test_attention_grads_only_the_parents_that_need_one(needs_grad):
     qkv, upstream, cases = _attention_cases()
-    mask = _combined(cases["causal+keys"])
-    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, 0.5, cases["causal+keys"]),
+    masks = cases["causal+keys"]
+    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, _HEADS, masks),
                          qkv, upstream, needs_grad)
-    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, 0.5, mask), qkv, upstream,
-                           needs_grad)
+    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
+                           qkv, upstream, needs_grad)
     assert [g is None for g in fused[1:]] == [not r for r in needs_grad]
     _assert_same_bits(fused, ref)
 
 
 def test_attention_broadcasts_batch_one_keys():
-    # cached cross-attention: one encoding's keys serve every query row
+    # cached cross-attention: one encoding's keys [1 x Tk x d] serve every query row
     qkv, upstream, cases = _attention_cases(kv_batch=1)
     masks = cases["causal"]
-    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, 0.5, masks), qkv, upstream)
-    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, 0.5, _combined(masks)),
+    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, _HEADS, masks), qkv, upstream)
+    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
                            qkv, upstream)
     assert fused[2].shape == qkv[1].shape and fused[3].shape == qkv[2].shape
     _assert_same_bits(fused, ref)
@@ -425,8 +438,8 @@ def test_attention_shared_input_accumulates_in_chain_order():
     qkv, upstream, _ = _attention_cases()
     causal = np.triu(np.full((4, 4), -np.inf), k=1)
     grads = []
-    for build in (lambda x: _chain_attention(x, x, x, 0.5, [causal]),
-                  lambda x: ad.attention(x, x, x, 0.5, causal)):
+    for build in (lambda x: _chain_attention(x, x, x, _HEADS, [causal]),
+                  lambda x: ad.attention(x, x, x, _HEADS, causal)):
         x0 = Tensor(qkv[0].copy(), requires_grad=True)
         x = ad.tanh(x0)
         ad.backward(ad.mul(build(x), Tensor(upstream)).sum())
@@ -435,27 +448,28 @@ def test_attention_shared_input_accumulates_in_chain_order():
 
 
 def test_attention_rejects_mismatched_operands():
-    q = Tensor(np.zeros((3, 2, 4, 5)))
-    kv = np.zeros((3, 2, 6, 5))
-    for bad_q, bad_k, bad_v in ((q.values[0], kv, kv), (q.values, kv[:, :1], kv[:, :1]),
-                                (q.values, kv[..., :4], kv), (q.values, kv, kv[:, :, :5]),
-                                (q.values, kv[:2], kv[:2]), (q.values, kv, kv[0])):
+    q = np.zeros((3, 4, 10))
+    kv = np.zeros((3, 6, 10))
+    for bad_q, bad_k, bad_v, heads in ((q[0], kv, kv, 2), (q, kv[0], kv[0], 2),
+                                       (q, kv[..., :8], kv[..., :8], 2), (q, kv[..., :8], kv, 2),
+                                       (q, kv, kv[:, :5], 2), (q, kv[:2], kv[:2], 2),
+                                       (q, kv, kv, 3), (q, kv, kv, 0)):
         with pytest.raises(ad.ShapeError):
-            ad.attention(Tensor(bad_q), Tensor(bad_k), Tensor(bad_v), 0.5)
+            ad.attention(Tensor(bad_q), Tensor(bad_k), Tensor(bad_v), heads)
 
 
 def test_single_query_attention_needs_no_causal_mask():
     rng = np.random.default_rng(6)
-    b, h, tk, dh = 3, 2, 7, 4
-    q = rng.normal(size=(b, h, 1, dh))
-    k = rng.normal(size=(b, h, tk, dh))
-    v = rng.normal(size=(b, h, tk, dh))
+    b, h, tk, dh = 3, 2, 7, 4  # scale 1/sqrt(4) = 0.5
+    q = rng.normal(size=(b, 1, h * dh))
+    k = rng.normal(size=(b, tk, h * dh))
+    v = rng.normal(size=(b, tk, h * dh))
     # scores of -5e-324 scale to -0.0: the sign a zero mask would flip
-    q[0, 0, 0] = [-5e-324, 0.0, 0.0, 0.0]
-    k[0, 0, :3] = [1.0, 0.0, 0.0, 0.0]
-    q[1, 1, 0] = 0.0
-    scaled = (q @ np.swapaxes(k, -1, -2)) * 0.5
-    assert np.signbit(scaled[0, 0, 0, :3]).all() and np.all(scaled[0, 0, 0, :3] == 0.0)
+    q[0, 0, :dh] = [-5e-324, 0.0, 0.0, 0.0]  # row 0, head 0
+    k[0, :3, :dh] = [1.0, 0.0, 0.0, 0.0]
+    q[1, 0, dh:] = 0.0  # row 1, head 1
+    scaled = (q[0, :, :dh] @ k[0, :, :dh].T) * 0.5
+    assert np.signbit(scaled[0, :3]).all() and np.all(scaled[0, :3] == 0.0)
     upstream = rng.normal(size=(b, 1, h * dh))
     keys = np.zeros((b, 1, 1, tk))
     keys[2, ..., 5:] = -np.inf
@@ -464,7 +478,7 @@ def test_single_query_attention_needs_no_causal_mask():
     assert np.array_equal(causal, np.zeros((1, tk)))
 
     def run(mask):
-        return _run_attention(lambda *qkv: ad.attention(*qkv, 0.5, mask), (q, k, v), upstream)
+        return _run_attention(lambda *qkv: ad.attention(*qkv, h, mask), (q, k, v), upstream)
 
     for masked, bare in ((causal, None), (causal + keys, keys)):
         _assert_same_bits(run(bare), run(masked))
@@ -475,9 +489,9 @@ def test_attention_no_grad_matches_and_builds_no_graph():
     mask = _combined(cases["causal+keys"])
     q, k, v = (Tensor(a, requires_grad=True) for a in qkv)
     copies = [a.copy() for a in qkv]
-    ref = ad.attention(q, k, v, 0.5, mask)
+    ref = ad.attention(q, k, v, _HEADS, mask)
     with ad.no_grad():
-        out = ad.attention(q, k, v, 0.5, mask)
+        out = ad.attention(q, k, v, _HEADS, mask)
     assert out.parents == () and out._backward_fn is None and not out.requires_grad
     assert np.array_equal(out.values, ref.values)
     for t, a in zip((q, k, v), copies):  # no input is overwritten

@@ -182,7 +182,8 @@ _OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t
                  "span_lambda=nan", "span_lambda=inf", "image_size=30", "image_size=0",
                  "patch_size=0", "beam_size=0", "top_k=0", "n_samples=0", "max_decode_len=0",
                  "temperature=0", "temperature=-1", "temperature=nan", "temperature=inf",
-                 "length_norm=nan", "length_norm=inf", "length_norm=-inf"]
+                 "length_norm=nan", "length_norm=inf", "length_norm=-inf", "alpha=-5",
+                 "alpha=nan", "alpha=inf", "beta=-1", "beta=nan", "beta=inf"]
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +468,17 @@ def test_caption_rejects_nan_image(tmp_path, data_file, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+
+
+@pytest.mark.parametrize("size, text", [(0, "H, W >= 1"), (4, "image is 4x4, the model reads 16x16")],
+                         ids=["empty", "4x4"])
+def test_caption_refuses_an_image_of_the_wrong_size(tmp_path, small_ckpt, capsys, size, text):
+    image = tmp_path / "small.duvlg"
+    image.write_text(f"DUVLG-IMG v1 {size} {size}\n" + " ".join(["0.5"] * (size * size * 3)) + "\n")
+    capsys.readouterr()
+    rc = cli_dispatch(["caption", "--ckpt", str(small_ckpt), "--image", str(image)])
+    assert rc == 1
+    _one_error_line(capsys, text)
 
 
 def test_config_with_checkpoint_command_rejected(tmp_path, data_file, capsys):

@@ -44,8 +44,10 @@ def test_patch_counts_paper_scale():
 
 def test_extract_patches_rejects_indivisible():
     img = ImageGrid(np.zeros((6, 8, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not divisible by patch size 4"):
         codec.extract_patches(img, 4)
+    with pytest.raises(ValueError, match="not divisible by patch size 4"):
+        PatchFeaturizer(4, 8).featurize_image(img)
 
 
 def test_featurizer_deterministic():
@@ -152,6 +154,12 @@ def test_image_grid_rejects_non_finite(bad):
     px[1, 2, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         ImageGrid(px)
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 3), (0, 4, 3), (4, 0, 3)])
+def test_image_grid_rejects_empty(shape):
+    with pytest.raises(ValueError, match="H, W >= 1"):
+        ImageGrid(np.zeros(shape))
 
 
 def test_image_file_rejects_garbage(tmp_path):

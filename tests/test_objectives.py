@@ -188,7 +188,9 @@ def test_task_loss_gradcheck(setup, kind):
         terms = obj.task_terms(batch, model, use_commitment=kind in obj.IMAGE_TARGET_KINDS)
         return obj.total_loss(terms, alpha=0.05, beta=1.0)[0]
 
-    for name in ("visual_embed_dec", "enc.0.attn.wq", "dec.0.cross.wv", "dec.0.ffn.w1"):
+    # the attention op's q and k backward feeds wq and wk directly
+    for name in ("visual_embed_dec", "enc.0.attn.wq", "enc.0.attn.wk", "dec.0.self.wq",
+                 "dec.0.self.wk", "dec.0.cross.wk", "dec.0.cross.wv", "dec.0.ffn.w1"):
         report = ad.grad_check(loss, model.params[name])
         assert report.max_rel_error < 1e-4, (name, report)
 
@@ -288,23 +290,22 @@ def test_sampler_draw_order_pinned(allow, expected, next_draw):
 
 
 def test_default_inpainting_graph_holds_no_attention_scores():
-    # each attention block is one node that keeps its softmax weights for
-    # backward, so the only per-head nodes are the head-split q, k and v
-    # [B x h x T x dh]; an unfused block adds its [B x h x Tq x Tk] scores and
-    # weights, and its transposed keys [B x h x dh x Tk]
+    # each attention block is one node from the q, k, v projections [B x T x d]
+    # to the merged heads; the heads, the scores and the softmax weights are
+    # its own temporaries, so no graph node is 4-D (an unfused block adds its
+    # head-split q, k and v, its transposed keys and its [B x h x Tq x Tk]
+    # scores and weights)
     cfg = RunConfig()
     model, vocab = build_model(cfg)
     examples = gen_dataset(cfg.batch_size, 0, model.codebook, cfg.grid_dims(), vocab)
     batch = obj.build_task_batch(examples, TaskKind.DAE_IMAGE, np.random.default_rng(0),
                                  model, cfg)
-    stack, seen, per_head = list(obj.task_terms(batch, model).values()), set(), []
+    stack, seen, four_d = list(obj.task_terms(batch, model).values()), set(), []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(node.parents)
-            if node.values.ndim == 4 and node.shape[:2] == (cfg.batch_size, cfg.n_heads):
-                per_head.append(node.shape)
-    dh = cfg.d_model // cfg.n_heads
-    assert per_head  # the head-split queries, keys and values are there
-    assert [s for s in per_head if s[3] != dh] == []
+            if node.values.ndim == 4:
+                four_d.append(node.shape)
+    assert len(seen) > 50 and four_d == []
