@@ -173,6 +173,8 @@ def _cmd_caption(args, cfg: RunConfig, loaded) -> int:
 def _cmd_imagine(args, cfg: RunConfig, loaded) -> int:
     model, vocab = loaded.model, loaded.vocab
     caption = dat.encode_text(args.caption, vocab)
+    if not caption.size:
+        raise ConfigError("--caption has no words")
     decode_cfg = to_decode_config(cfg, "nucleus", "image")
     rng = np.random.default_rng(cfg.seed)
     images = dec.generate_image(model, caption, decode_cfg, rng, cfg.grid_dims())

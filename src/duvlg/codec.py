@@ -196,6 +196,8 @@ def load_image(path) -> ImageGrid:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != _IMG_MAGIC or header[1] != _IMG_VERSION:
             raise ValueError(f"{path}: not a {_IMG_MAGIC} {_IMG_VERSION} file")
+        if not all(s.isdecimal() and int(s) >= 1 for s in header[2:]):
+            raise ValueError(f"{path}: header needs integer H, W >= 1, got {' '.join(header[2:])}")
         h, w = int(header[2]), int(header[3])
         flat = np.array(fh.read().split(), dtype=np.float64)
     if flat.size != h * w * 3:

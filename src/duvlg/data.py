@@ -180,7 +180,11 @@ def load_dataset(path, cb: VisualCodebook, grid_dims: tuple[int, int],
             caption, tab, spec = line.partition("\t")
             if not tab:
                 raise ValueError(f"{path}:{lineno}: expected '<caption>\\t<spec>'")
-            ex = render_example(_meta_from_string(spec), cb, grid_dims, vocab)
+            try:
+                meta = _meta_from_string(spec)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ex = render_example(meta, cb, grid_dims, vocab)
             if decode_text(ex.caption, vocab) != caption:
                 raise ValueError(f"{path}:{lineno}: caption does not match block spec")
             out.append(ex)

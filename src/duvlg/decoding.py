@@ -241,9 +241,8 @@ def caption_scores(model: DuVlgModel, caption, images) -> list[float]:
     with ad.no_grad():
         for lo in range(0, len(images), _RERANK_BATCH):
             feats = [model.featurizer.featurize_image(img) for img in images[lo:lo + _RERANK_BATCH]]
-            n = len(feats)
-            enc, enc_valid = encode_batch(model, [None] * n, feats, [None] * n)
-            logits = decode_forward_batch(model, np.tile(tgt[:-1], (n, 1)), enc, enc_valid)
+            enc, enc_valid = encode_batch(model, None, feats, None)
+            logits = decode_forward_batch(model, np.tile(tgt[:-1], (len(feats), 1)), enc, enc_valid)
             scores += [-ad.cross_entropy_logits(Tensor(row), tgt[1:]).item()
                        for row in logits.values]
     return scores

@@ -11,6 +11,7 @@ instead of demanding fd agreement through the operand's forward value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,40 +58,29 @@ def run_gradient_audit(h: float = 1e-5, seed: int = 0, beta: float = 1.0) -> lis
     examples = [_micro_example(cfg, patch_size, seed + i) for i in range(2)]
     corruption = RunConfig()  # the default mask rates and block and span shapes
 
-    audits = []
-    with ad.no_cyclic_gc():
-        for kind in TaskKind:
-            batch = build_task_batch(examples, kind, np.random.default_rng(seed),
-                                     model, corruption)
-            loss_fn = lambda: task_nll(batch, model)  # noqa: E731
-            worst, worst_name = 0.0, ""
-            for name, p in model.named_parameters():
-                report = ad.grad_check(loss_fn, p, h)
-                if report.max_rel_error > worst:
-                    worst, worst_name = report.max_rel_error, name
-            audits.append(LossAudit(loss_name=f"l_{kind.value}", max_rel_error=worst,
-                                    worst_param=worst_name, passed=worst < AUDIT_TOLERANCE))
-
-        # beta * commitment: patch_proj feeds only the stop-gradient operand
-        batch = build_task_batch(examples, TaskKind.MT_T2I, np.random.default_rng(seed),
-                                 model, corruption)
-        com_fn = lambda: loss_commitment(batch, model) * beta  # noqa: E731
-        sg_blocked = ("patch_proj",)
+    def audit(loss_name, loss_fn, blocked):
+        """Worst fd error over every parameter; a ``blocked`` one must get exactly zero."""
         worst, worst_name = 0.0, ""
-        blocked_ok = True
         for name, p in model.named_parameters():
-            if name in sg_blocked:
+            if name in blocked:
                 p.zero_grad()
-                ad.backward(com_fn())
-                if p.grad is not None and np.abs(p.grad).any():
-                    blocked_ok = False
-                    worst, worst_name = np.inf, name
-                continue
-            report = ad.grad_check(com_fn, p, h)
-            if report.max_rel_error > worst:
-                worst, worst_name = report.max_rel_error, name
-        audits.append(LossAudit(loss_name="beta*l_com", max_rel_error=worst,
-                                worst_param=worst_name,
-                                passed=blocked_ok and worst < AUDIT_TOLERANCE,
-                                sg_blocked_params=sg_blocked))
+                ad.backward(loss_fn())
+                error = np.inf if p.grad is not None and np.abs(p.grad).any() else 0.0
+            else:
+                error = ad.grad_check(loss_fn, p, h).max_rel_error
+            if error > worst:
+                worst, worst_name = error, name
+        return LossAudit(loss_name=loss_name, max_rel_error=worst, worst_param=worst_name,
+                         passed=worst < AUDIT_TOLERANCE, sg_blocked_params=blocked)
+
+    def batch(kind):
+        return build_task_batch(examples, kind, np.random.default_rng(seed), model, corruption)
+
+    with ad.no_cyclic_gc():
+        audits = [audit(f"l_{kind.value}", partial(task_nll, batch(kind), model), ())
+                  for kind in TaskKind]
+        # beta * commitment: patch_proj feeds only the stop-gradient operand
+        com_batch = batch(TaskKind.MT_T2I)
+        audits.append(audit("beta*l_com", lambda: loss_commitment(com_batch, model) * beta,
+                            ("patch_proj",)))
     return audits

@@ -386,65 +386,52 @@ def _placeholder(model: DuVlgModel, token: int, b: int) -> Tensor:
     return ad.add(ad.reshape(row, (1, 1, model.cfg.d_model)), Tensor(np.zeros((b, 1, 1))))
 
 
-def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
-                 patch_masks: list) -> tuple[Tensor, np.ndarray]:
-    """Batched encoder over homogeneous examples (a modality is present for
-    all examples or none).  Each example is its image segment, then its text
-    segment; a missing modality becomes a single placeholder embedding, and
-    masked patches use the trainable [MASK] patch embedding.  Returns states
-    [B x L x d] and a [B x L] mask of real (non-padding) positions; padding
-    is excluded from attention.
+def encode_batch(model: DuVlgModel, text_ids: list | None, patches: list | None,
+                 patch_masks: list | None) -> tuple[Tensor, np.ndarray]:
+    """Batched encoder over per-example lists; ``None`` marks an input that
+    no example of the batch has.  Each example is its image segment, then its
+    text segment; a missing modality becomes a single placeholder embedding,
+    and masked patches use the trainable [MASK] patch embedding.  Returns
+    states [B x L x d] and a [B x L] mask of real (non-padding) positions;
+    padding is excluded from attention.
     """
     cfg = model.cfg
     d = cfg.d_model
-    b = len(text_ids)
-    has_text = text_ids[0] is not None
-    has_image = patches[0] is not None
-    if any((t is not None) != has_text for t in text_ids) \
-            or any((p is not None) != has_image for p in patches):
-        raise ValueError("encode_batch needs homogeneous modality presence")
-    if not has_text and not has_image:
+    if text_ids is None and patches is None:
         raise ValueError("encode needs at least one modality")
+    b = len(patches if text_ids is None else text_ids)
 
-    seg_img = ad.narrow_rows(model.seg_embed, 0, 1)
-    seg_text = ad.narrow_rows(model.seg_embed, 1, 2)
-
-    if has_image:
+    if patches is None:
+        img, n = _placeholder(model, SPECIALS.imagepad, b), 1
+    else:
         n = patches[0].n_patches
         if any(p.n_patches != n for p in patches):
             raise ValueError("encode_batch needs equal patch counts")
         if n > cfg.max_patches:
             raise ValueError(f"{n} patches exceeds max_patches {cfg.max_patches}")
-        feats = Tensor(np.stack([p.features.values for p in patches]))
-        x = ad.matmul(feats, model.patch_proj)
-        if any(m is not None for m in patch_masks):
-            m = np.stack([np.zeros(n) if pm is None else pm.flat.astype(np.float64)
-                          for pm in patch_masks]).reshape(b, n, 1)
+        img = ad.matmul(Tensor(np.stack([p.features.values for p in patches])), model.patch_proj)
+        if patch_masks is not None:
+            m = np.stack([pm.flat for pm in patch_masks]).astype(np.float64).reshape(b, n, 1)
             mask_row = ad.reshape(model.mask_patch, (1, 1, d))
-            x = ad.add(ad.mul(x, Tensor(1.0 - m)), ad.mul(mask_row, Tensor(m)))
-        img_seg = ad.add(ad.add(x, ad.narrow_rows(model.enc_img_pos, 0, n)), seg_img)
-        img_valid = np.ones((b, n), dtype=bool)
-    else:
-        img_seg = ad.add(ad.add(_placeholder(model, SPECIALS.imagepad, b),
-                                ad.narrow_rows(model.enc_img_pos, 0, 1)), seg_img)
-        img_valid = np.ones((b, 1), dtype=bool)
+            img = ad.add(ad.mul(img, Tensor(1.0 - m)), ad.mul(mask_row, Tensor(m)))
+    img_seg = ad.add(ad.add(img, ad.narrow_rows(model.enc_img_pos, 0, n)),
+                     ad.narrow_rows(model.seg_embed, 0, 1))
 
-    if has_text:
+    if text_ids is None:
+        text, text_valid = _placeholder(model, SPECIALS.textpad, b), np.ones((b, 1), dtype=bool)
+    else:
         lens = [len(t) for t in text_ids]
         if max(lens) > cfg.max_text_len:
             raise ValueError(f"{max(lens)} text tokens exceeds max_text_len {cfg.max_text_len}")
         if min(lens) == 0:
             raise ValueError("empty text; pass None for a missing modality")
         padded, text_valid = pad_ragged(text_ids, SPECIALS.pad)
-        lt = padded.shape[1]
-        emb = ad.reshape(ad.gather_rows(model.text_embed, padded.reshape(-1)), (b, lt, d))
-        text_seg = ad.add(ad.add(emb, ad.narrow_rows(model.enc_text_pos, 0, lt)), seg_text)
-    else:
-        text_seg = ad.add(ad.add(_placeholder(model, SPECIALS.textpad, b),
-                                 ad.narrow_rows(model.enc_text_pos, 0, 1)), seg_text)
-        text_valid = np.ones((b, 1), dtype=bool)
+        text = ad.reshape(ad.gather_rows(model.text_embed, padded.reshape(-1)),
+                          (b, padded.shape[1], d))
+    text_seg = ad.add(ad.add(text, ad.narrow_rows(model.enc_text_pos, 0, text_valid.shape[1])),
+                      ad.narrow_rows(model.seg_embed, 1, 2))
 
-    valid = np.concatenate([img_valid, text_valid], axis=1)
+    valid = np.concatenate([np.ones((b, n), dtype=bool), text_valid], axis=1)
     key_add = _key_add(valid)
     x = ad.concat([img_seg, text_seg], axis=1)
     for layer in model.enc_layers:
@@ -459,7 +446,8 @@ def encode_batch(model: DuVlgModel, text_ids: list, patches: list,
 def encode(model: DuVlgModel, text_ids=None, patches: PatchSequence | None = None,
            patch_mask: PatchMask | None = None) -> Tensor:
     """``encode_batch`` of one example: states [L x d], image then text."""
-    states, _ = encode_batch(model, [text_ids], [patches], [patch_mask])
+    states, _ = encode_batch(model, *(None if x is None else [x]
+                                      for x in (text_ids, patches, patch_mask)))
     return ad.reshape(states, states.shape[1:])
 
 

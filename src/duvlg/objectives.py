@@ -34,15 +34,18 @@ IMAGE_TARGET_KINDS = (TaskKind.DAE_IMAGE, TaskKind.MT_T2I)
 
 @dataclass
 class TaskBatch:
-    """One homogeneous mini-batch: parallel per-example lists."""
+    """One homogeneous mini-batch: parallel per-example lists.  An input the
+    task kind does not have is ``None`` for the whole batch: ``mt_caption``
+    has no text, ``mt_t2i`` no patches, only ``dae_image`` has patch masks,
+    and only the image-target kinds have clean features and visual ids."""
 
     kind: TaskKind
-    enc_text: list  # token ids or None per example
-    enc_patches: list  # PatchSequence or None per example
-    enc_patch_mask: list  # PatchMask or None per example
+    enc_text: list | None  # token ids per example
+    enc_patches: list | None  # PatchSequence per example
+    enc_patch_mask: list | None  # PatchMask per example
     targets: list  # unified ids with bracket prefix/suffix
-    clean_features: list  # PatchSequence of the clean image (image-target kinds)
-    clean_visual: list  # visual token ids without brackets (image-target kinds)
+    clean_features: list | None  # PatchSequence of the clean image
+    clean_visual: list | None  # visual token ids without brackets
 
     def __len__(self):
         return len(self.targets)
@@ -56,45 +59,28 @@ def build_task_batch(examples, kind: TaskKind, rng: np.random.Generator,
         raise ValueError("empty example list")
     if model.featurizer is None or model.codebook is None:
         raise ValueError("model has no featurizer/codebook attached")
-    enc_text, enc_patches, enc_mask = [], [], []
-    targets, clean_feats, clean_vis = [], [], []
+    feats = [model.featurizer.featurize_image(ex.image) for ex in examples]
+    enc_text = [ex.caption for ex in examples]
+    enc_patches, enc_mask, clean_feats, clean_vis = feats, None, None, None
+    if kind in IMAGE_TARGET_KINDS:
+        clean_feats = feats
+        clean_vis = [tokenize_image(ex.image, model.codebook) for ex in examples]
+        targets = [np.concatenate(([SPECIALS.boi], visual_to_unified(vis, model.cfg),
+                                   [SPECIALS.eoi])) for vis in clean_vis]
+    else:
+        targets = [np.concatenate(([SPECIALS.bos], text, [SPECIALS.eos])) for text in enc_text]
 
-    for ex in examples:
-        feats = model.featurizer.featurize_image(ex.image)
-        if kind in IMAGE_TARGET_KINDS:
-            vis = tokenize_image(ex.image, model.codebook)
-            uni = visual_to_unified(vis, model.cfg)
-            tgt = np.concatenate(([SPECIALS.boi], uni, [SPECIALS.eoi]))
-            clean_feats.append(feats)
-            clean_vis.append(vis)
-        else:
-            tgt = np.concatenate(([SPECIALS.bos], ex.caption, [SPECIALS.eos]))
-            clean_feats.append(None)
-            clean_vis.append(None)
-
-        if kind is TaskKind.DAE_IMAGE:
-            rows, cols = feats.grid_dims
-            mask = blockwise_mask(rows, cols, cfg.image_mask_rate, rng,
-                                  min_block=cfg.min_block, max_block=cfg.max_block,
-                                  aspect_min=cfg.aspect_min)
-            enc_text.append(ex.caption)
-            enc_patches.append(feats)
-            enc_mask.append(mask)
-        elif kind is TaskKind.DAE_TEXT:
-            corrupted = span_infill(ex.caption, cfg.text_mask_rate, cfg.span_lambda, rng,
-                                    mask_id=SPECIALS.mask)
-            enc_text.append(corrupted.corrupted)
-            enc_patches.append(feats)
-            enc_mask.append(None)
-        elif kind is TaskKind.MT_CAPTION:
-            enc_text.append(None)
-            enc_patches.append(feats)
-            enc_mask.append(None)
-        else:  # MT_T2I
-            enc_text.append(ex.caption)
-            enc_patches.append(None)
-            enc_mask.append(None)
-        targets.append(tgt)
+    if kind is TaskKind.DAE_IMAGE:
+        enc_mask = [blockwise_mask(*f.grid_dims, cfg.image_mask_rate, rng,
+                                   min_block=cfg.min_block, max_block=cfg.max_block,
+                                   aspect_min=cfg.aspect_min) for f in feats]
+    elif kind is TaskKind.DAE_TEXT:
+        enc_text = [span_infill(text, cfg.text_mask_rate, cfg.span_lambda, rng,
+                                mask_id=SPECIALS.mask).corrupted for text in enc_text]
+    elif kind is TaskKind.MT_CAPTION:
+        enc_text = None
+    else:  # MT_T2I
+        enc_patches = None
 
     return TaskBatch(kind=kind, enc_text=enc_text, enc_patches=enc_patches,
                      enc_patch_mask=enc_mask, targets=targets,

@@ -481,6 +481,30 @@ def test_caption_refuses_an_image_of_the_wrong_size(tmp_path, small_ckpt, capsys
     _one_error_line(capsys, text)
 
 
+@pytest.mark.parametrize("dims, n_floats", [("-1 -3", 9), ("0 4", 0), ("x 3", 9)],
+                         ids=["negative", "zero", "non-integer"])
+def test_caption_refuses_a_bad_image_header(tmp_path, small_ckpt, capsys, dims, n_floats):
+    image = tmp_path / "bad.duvlg"
+    image.write_text(f"DUVLG-IMG v1 {dims}\n" + " ".join(["0.5"] * n_floats) + "\n")
+    capsys.readouterr()
+    rc = cli_dispatch(["caption", "--ckpt", str(small_ckpt), "--image", str(image)])
+    assert rc == 1
+    _one_error_line(capsys, f"{image}: header needs integer H, W >= 1, got {dims}")
+
+
+@pytest.mark.parametrize("caption", ["", "   "], ids=["empty", "blank"])
+def test_imagine_refuses_an_empty_caption(tmp_path, small_ckpt, capsys, monkeypatch, caption):
+    def no_model_call(*_args, **_kwargs):
+        raise AssertionError("the model ran on an empty caption")
+    monkeypatch.setattr("duvlg.decoding.generate_image", no_model_call)
+    capsys.readouterr()
+    rc = cli_dispatch(["imagine", "--ckpt", str(small_ckpt), "--caption", caption,
+                       "--out-dir", str(tmp_path / "samples")])
+    assert rc == 1
+    _one_error_line(capsys, "--caption has no words")
+    assert not (tmp_path / "samples").exists()
+
+
 def test_config_with_checkpoint_command_rejected(tmp_path, data_file, capsys):
     base = tmp_path / "base.ckpt"
     cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,15 @@ def test_image_grid_rejects_non_finite(bad):
 def test_image_grid_rejects_empty(shape):
     with pytest.raises(ValueError, match="H, W >= 1"):
         ImageGrid(np.zeros(shape))
+
+
+@pytest.mark.parametrize("dims", ["-1 -3", "0 4", "4 0", "x 3", "2.0 2", "+2 2"])
+def test_image_file_rejects_bad_header_dims(tmp_path, dims):
+    path = tmp_path / "bad.duvlg"
+    path.write_text(f"DUVLG-IMG v1 {dims}\n" + " ".join(["0.5"] * 12) + "\n")
+    message = f"{path}: header needs integer H, W >= 1, got {dims}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        codec.load_image(path)
 
 
 def test_image_file_rejects_garbage(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,18 @@ def test_dataset_file_rejects_bad_lines(tmp_path, cb, vocab):
         d.load_dataset(path, cb, (8, 8), vocab)
     path.write_text("a red block at top left\tmauve@top-left\n")
     with pytest.raises(ValueError):
+        d.load_dataset(path, cb, (8, 8), vocab)
+
+
+def test_dataset_file_errors_name_the_line(tmp_path, cb, vocab):
+    path = tmp_path / "bad.tsv"
+    good = "a red block at center\tred@center\n"
+    path.write_text(good + "a red block at center\tred@nowhere\n")
+    message = f"{path}:2: bad block spec 'red@nowhere'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        d.load_dataset(path, cb, (8, 8), vocab)
+    path.write_text(good + good + "a red block at center\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected"):
         d.load_dataset(path, cb, (8, 8), vocab)
 
 

@@ -64,16 +64,36 @@ def test_dae_text_batch_layout(setup):
 
 def test_mt_caption_has_no_text_input(setup):
     model, batch = _batch(setup, TaskKind.MT_CAPTION)
-    assert all(t is None for t in batch.enc_text)
+    assert batch.enc_text is None
     assert all(p is not None for p in batch.enc_patches)
 
 
 def test_mt_t2i_has_no_image_input(setup):
     model, batch = _batch(setup, TaskKind.MT_T2I)
-    assert all(p is None for p in batch.enc_patches)
+    assert batch.enc_patches is None
     assert all(t is not None for t in batch.enc_text)
     for i in range(len(batch)):
         assert len(batch.targets[i]) == 16 + 2
+
+
+_OPTIONAL_FIELDS = ("enc_text", "enc_patches", "enc_patch_mask", "clean_features",
+                    "clean_visual")
+_ABSENT = {TaskKind.DAE_IMAGE: set(),
+           TaskKind.DAE_TEXT: {"enc_patch_mask", "clean_features", "clean_visual"},
+           TaskKind.MT_CAPTION: {"enc_text", "enc_patch_mask", "clean_features", "clean_visual"},
+           TaskKind.MT_T2I: {"enc_patches", "enc_patch_mask"}}
+
+
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_absent_inputs_are_none_for_the_whole_batch(setup, kind):
+    # a field is None when the kind has no such input, else one entry per example
+    model, batch = _batch(setup, kind)
+    for name in _OPTIONAL_FIELDS:
+        value = getattr(batch, name)
+        if name in _ABSENT[kind]:
+            assert value is None, name
+        else:
+            assert len(value) == len(batch) and all(v is not None for v in value), name
 
 
 def test_empty_batch_rejected(setup):
@@ -203,8 +223,10 @@ def test_batched_nll_matches_per_example_loop(setup, kind):
     batched = obj.task_nll(batch, model).item()
     total, n_pos = 0.0, 0
     for i in range(len(batch)):
-        enc = mdl.encode(model, text_ids=batch.enc_text[i], patches=batch.enc_patches[i],
-                         patch_mask=batch.enc_patch_mask[i])
+        def item(xs):
+            return None if xs is None else xs[i]
+        enc = mdl.encode(model, text_ids=item(batch.enc_text), patches=item(batch.enc_patches),
+                         patch_mask=item(batch.enc_patch_mask))
         tgt = batch.targets[i]
         logits = mdl.decode_forward(model, tgt[:-1], enc)
         ce = ad.cross_entropy_logits(logits, tgt[1:]).item()
