@@ -175,6 +175,9 @@ def _cmd_imagine(args, cfg: RunConfig, loaded) -> int:
     caption = dat.encode_text(args.caption, vocab)
     if not caption.size:
         raise ConfigError("--caption has no words")
+    if caption.size > cfg.max_text_len:
+        raise ConfigError(f"--caption has {caption.size} words; the model reads at most "
+                          f"max_text_len {cfg.max_text_len}")
     decode_cfg = to_decode_config(cfg, "nucleus", "image")
     rng = np.random.default_rng(cfg.seed)
     images = dec.generate_image(model, caption, decode_cfg, rng, cfg.grid_dims())
@@ -244,6 +247,9 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
+        for flag in ("steps", "epochs"):
+            if getattr(args, flag, 0) < 0:
+                raise ConfigError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
         source = getattr(args, "ckpt", None) or getattr(args, "resume", None)
         if source and args.config:
             raise ConfigError("this command restores the checkpoint's config; "

@@ -74,6 +74,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Range checks, so a bad value fails before anything is built."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for key in ("lr", "t2i_lr", "caption_lr", "adam_eps"):

@@ -70,9 +70,10 @@ def check_text_len(model: DuVlgModel, cfg: DecodeConfig):
 
 
 def _start(model: DuVlgModel, enc_states: Tensor, capacity: int):
-    """Encoder states [L x d] as a batch of one, and an empty cache."""
+    """Encoder states [L x d] as a batch of one, their validity mask, and an
+    empty cache projected from them (call it under ``no_grad``)."""
     enc = ad.reshape(enc_states, (1,) + enc_states.shape)
-    return enc, np.ones((1, enc_states.shape[0]), dtype=bool), DecoderCache(model, capacity)
+    return enc, np.ones((1, enc_states.shape[0]), dtype=bool), DecoderCache(model, enc, capacity)
 
 
 def _step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids,
@@ -105,11 +106,11 @@ def beam_search(model: DuVlgModel, enc_states, cfg: DecodeConfig):
     def norm(total, emitted):
         return total / emitted**cfg.length_norm
 
-    enc, enc_valid, cache = _start(model, enc_states, cfg.max_len)
     active = [((), 0.0)]
     last = [bos]  # each hypothesis's newest token, fed at the next step
     finished = []  # (tokens, normalized score)
     with ad.no_grad():
+        enc, enc_valid, cache = _start(model, enc_states, cfg.max_len)
         for _ in range(cfg.max_len):
             lp = _step_logprobs(model, enc, enc_valid, cache, last, candidates, cfg.temperature)
             pool = []
@@ -189,9 +190,9 @@ def _sample(model, enc_states, cfg: DecodeConfig, rngs, first: int, candidates,
     advance as one cached batch step and one batched ``_pick``; row r draws
     from its own ``rngs[r]``.  ``stop`` is for a single row: sampling ends,
     without emitting it, when that row draws it."""
-    enc, enc_valid, cache = _start(model, enc_states, steps)
     columns = [np.full(len(rngs), first, dtype=np.int64)]
     with ad.no_grad():
+        enc, enc_valid, cache = _start(model, enc_states, steps)
         for _ in range(steps):
             lp = _step_logprobs(model, enc, enc_valid, cache, columns[-1], candidates,
                                 cfg.temperature)

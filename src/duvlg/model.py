@@ -12,13 +12,14 @@ visual tokens [S + V_t, S + V_t + K).
 There is one forward implementation, over batches: ``encode_batch`` and
 ``decode_forward_batch``; ``encode`` and ``decode_forward`` are its size-1
 views.  Decoding steps the same decoder incrementally through a
-``DecoderCache``: per decoder layer, self-attention keys and values live in
-preallocated float64 buffers [B x capacity x d] whose first ``length``
-positions are filled, one position per row per step, and cross-attention
-keys and values [B_enc x L x d] are projected once from the encoder states.
-``autodiff.attention`` splits the heads as views of these buffers.
-``DecoderCache.reorder`` permutes the self-attention rows when beam search
-keeps a hypothesis.
+``DecoderCache`` built from the encoder output: it projects each decoder
+layer's cross-attention keys and values [B_enc x L x d] once, at
+construction, and keeps the self-attention keys and values in preallocated
+float64 buffers [n_dec x B x capacity x d] whose first ``length`` positions
+are filled; each decoder call writes its positions and advances that one
+``length``.  ``autodiff.attention`` splits the heads as views of these
+buffers.  ``DecoderCache.reorder`` permutes the self-attention rows when
+beam search keeps a hypothesis.
 
 Parameter count (d = d_model, F = d_ff, S = 8 specials, D = max decoder
 length = max(max_text_len, max_patches) + 2):
@@ -278,81 +279,44 @@ def init_model(cfg: ModelConfig, seed: int,
 # forward passes
 
 
-def _project_kv(attn: _Attention, x_kv: Tensor) -> tuple[Tensor, Tensor]:
-    return ad.linear(x_kv, attn.wk, attn.bk), ad.linear(x_kv, attn.wv, attn.bv)
-
-
-class _KV:
-    """Keys and values [B x T x d] of one attention block, kept across
-    incremental decoding steps.  With a capacity, each step's keys are
-    appended into preallocated buffers (self-attention); without one, the
-    keys of the first step are reused by every later step (cross-attention
-    over fixed encoder states)."""
-
-    def __init__(self, capacity: int | None = None):
-        self.capacity = capacity
-        self.k = self.v = None
-        self.length = 0
-
-    def keys_values(self, attn: _Attention, x_kv: Tensor):
-        if self.capacity is None:
-            if self.k is None:
-                self.k, self.v = _project_kv(attn, x_kv)
-            return self.k, self.v
-        k, v = _project_kv(attn, x_kv)
-        b, t, d = k.shape
-        end = self.length + t
-        if end > self.capacity:
-            raise ValueError(f"{end} positions exceeds decoder cache capacity {self.capacity}")
-        if self.k is None:
-            self.k = np.empty((b, self.capacity, d))
-            self.v = np.empty((b, self.capacity, d))
-        self.k[:, self.length:end] = k.values
-        self.v[:, self.length:end] = v.values
-        self.length = end
-        return Tensor(self.k[:, :end]), Tensor(self.v[:, :end])
-
-
 class DecoderCache:
-    """Incremental state of ``decode_forward_batch``: one growing
-    self-attention ``_KV`` and one fixed cross-attention ``_KV`` per decoder
-    layer.  Cross keys keep the batch size of the encoder states, so one
-    encoding of [1 x L x d] serves every row."""
+    """Incremental state of ``decode_forward_batch`` over one encoding.
 
-    def __init__(self, model: DuVlgModel, capacity: int):
+    Each decoder layer's cross-attention keys and values are projected here,
+    once, from the encoder states [B_enc x L x d] and keep their batch size,
+    so one encoding of [1 x L x d] serves every row.  Self-attention keys and
+    values live in buffers [n_dec x B x capacity x d], allocated at the first
+    step, whose first ``length`` positions are filled; ``length`` is the next
+    position's index.  Build it under ``autodiff.no_grad``, or the cross
+    projections hold a graph."""
+
+    def __init__(self, model: DuVlgModel, enc_states: Tensor, capacity: int):
         if capacity > model.cfg.max_dec_len:
             raise ValueError(f"{capacity} decoder positions exceeds max decoder length "
                              f"{model.cfg.max_dec_len}")
-        self.layers = [(_KV(capacity), _KV()) for _ in model.dec_layers]
+        self.capacity = capacity
+        self.length = 0
+        self.k = self.v = None
+        self.cross = [(ad.linear(enc_states, layer.cross_attn.wk, layer.cross_attn.bk),
+                       ad.linear(enc_states, layer.cross_attn.wv, layer.cross_attn.bv))
+                      for layer in model.dec_layers]
 
-    @property
-    def length(self) -> int:
-        """Positions consumed so far (the next position's index)."""
-        return self.layers[0][0].length
+    def append(self, i: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Write layer i's new keys and values [B x t x d] at positions
+        ``length`` onward; returns all of that layer's keys and values."""
+        end = self.length + k.shape[1]
+        if self.k is None:
+            self.k = np.empty((len(self.cross), k.shape[0], self.capacity, k.shape[2]))
+            self.v = np.empty_like(self.k)
+        self.k[i, :, self.length:end] = k.values
+        self.v[i, :, self.length:end] = v.values
+        return Tensor(self.k[i, :, :end]), Tensor(self.v[i, :, :end])
 
     def reorder(self, rows):
         """Make row i continue the history of old row ``rows[i]`` (beam
         search keeps surviving hypotheses this way)."""
-        for self_kv, _ in self.layers:
-            if self_kv.k is not None:
-                self_kv.k, self_kv.v = self_kv.k[rows], self_kv.v[rows]
-
-
-def _attend_batch(model: DuVlgModel, attn: _Attention, x_q: Tensor, x_kv: Tensor,
-                  causal: bool, key_add: np.ndarray | None, cache: _KV | None = None) -> Tensor:
-    """Multi-head attention over [B x T x d] stacks.  ``key_add`` is an
-    additive [B x 1 x 1 x Tk] mask (0 for real keys, -inf for padding).
-    With a ``cache``, the keys come from it (see ``_KV``) and the queries are
-    the last positions of the key sequence."""
-    q = ad.linear(x_q, attn.wq, attn.bq)
-    k, v = _project_kv(attn, x_kv) if cache is None else cache.keys_values(attn, x_kv)
-    tq, tk = q.shape[1], k.shape[1]
-
-    mask = key_add
-    if causal and tq > 1:  # a single query sees every cached key
-        future = np.triu(np.full((tq, tk), -np.inf), k=tk - tq + 1)
-        mask = future if key_add is None else future + key_add
-    return ad.linear(ad.attention(q, k, v, model.cfg.n_heads, mask), attn.wo, attn.bo)
+        if self.k is not None:
+            self.k, self.v = self.k[:, rows], self.v[:, rows]
 
 
 def _ffn(x: Tensor, w1, b1, w2, b2) -> Tensor:
@@ -435,9 +399,10 @@ def encode_batch(model: DuVlgModel, text_ids: list | None, patches: list | None,
     key_add = _key_add(valid)
     x = ad.concat([img_seg, text_seg], axis=1)
     for layer in model.enc_layers:
-        normed = ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
-        a = _attend_batch(model, layer.attn, normed, normed, causal=False, key_add=key_add)
-        x = ad.add(x, a)
+        a, normed = layer.attn, ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
+        q, k, v = (ad.linear(normed, a.wq, a.bq), ad.linear(normed, a.wk, a.bk),
+                   ad.linear(normed, a.wv, a.bv))
+        x = ad.add(x, ad.linear(ad.attention(q, k, v, cfg.n_heads, key_add), a.wo, a.bo))
         f = _ffn(ad.layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
         x = ad.add(x, f)
     return ad.layer_norm(x, model.enc_final_g, model.enc_final_b), valid
@@ -463,7 +428,8 @@ def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Ten
 
     With a ``cache``, ``targets`` continue the sequences the cache has
     consumed (positions ``cache.length`` onward) and only they are computed;
-    the encoder states are projected on the first call only.
+    the cross-attention keys and values come from the cache, which projected
+    them from these ``enc_states``.
     """
     cfg = model.cfg
     b, t = targets.shape
@@ -474,22 +440,31 @@ def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Ten
         raise ValueError(f"target id out of range for unified vocab {cfg.head_size}")
     if start + t > cfg.max_dec_len:
         raise ValueError(f"{start + t} targets exceeds max decoder length {cfg.max_dec_len}")
+    if cache is not None and start + t > cache.capacity:
+        raise ValueError(f"{start + t} positions exceeds decoder cache capacity {cache.capacity}")
 
     d = cfg.d_model
     emb = ad.reshape(embed_unified(model, targets.reshape(-1)), (b, t, d))
     x = ad.add(emb, ad.narrow_rows(model.dec_pos, start, start + t))
     key_add = _key_add(enc_valid)
+    # position start + j sees keys 0 .. start + j; a single query sees them all
+    causal = None if t == 1 else np.triu(np.full((t, start + t), -np.inf), k=start + 1)
     for i, layer in enumerate(model.dec_layers):
-        self_kv, cross_kv = (None, None) if cache is None else cache.layers[i]
-        normed = ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
-        a = _attend_batch(model, layer.self_attn, normed, normed, causal=True, key_add=None,
-                          cache=self_kv)
-        x = ad.add(x, a)
-        c = _attend_batch(model, layer.cross_attn, ad.layer_norm(x, layer.lnx_g, layer.lnx_b),
-                          enc_states, causal=False, key_add=key_add, cache=cross_kv)
-        x = ad.add(x, c)
+        a, normed = layer.self_attn, ad.layer_norm(x, layer.ln1_g, layer.ln1_b)
+        q, k, v = (ad.linear(normed, a.wq, a.bq), ad.linear(normed, a.wk, a.bk),
+                   ad.linear(normed, a.wv, a.bv))
+        if cache is not None:
+            k, v = cache.append(i, k, v)
+        x = ad.add(x, ad.linear(ad.attention(q, k, v, cfg.n_heads, causal), a.wo, a.bo))
+        a = layer.cross_attn
+        q = ad.linear(ad.layer_norm(x, layer.lnx_g, layer.lnx_b), a.wq, a.bq)
+        k, v = cache.cross[i] if cache is not None else (ad.linear(enc_states, a.wk, a.bk),
+                                                          ad.linear(enc_states, a.wv, a.bv))
+        x = ad.add(x, ad.linear(ad.attention(q, k, v, cfg.n_heads, key_add), a.wo, a.bo))
         f = _ffn(ad.layer_norm(x, layer.ln2_g, layer.ln2_b), layer.w1, layer.b1, layer.w2, layer.b2)
         x = ad.add(x, f)
+    if cache is not None:
+        cache.length += t
     h = ad.layer_norm(x, model.dec_final_g, model.dec_final_b)
     return ad.concat([ad.matmul(h, ad.transpose(model.text_embed)),
                       ad.matmul(h, ad.transpose(model.visual_embed_dec))], axis=2)

@@ -11,12 +11,16 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
+def _load(monkeypatch, name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_name_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
-    spec.loader.exec_module(tracer)
-    targets = tracer.targets()
+    targets = _load(monkeypatch, "perfbench_tracer", TRACER).targets()
     assert targets
     for owner, attr, span, _after in targets:
         assert callable(getattr(owner, attr, None)), (owner, attr, span)
@@ -56,3 +60,18 @@ def test_every_name_the_benchmark_calls_resolves():
             seen.add(module)
     assert {"duvlg.config", "duvlg.optim", "duvlg.decoding", "duvlg.data",
             "duvlg.checkpoint"} <= seen
+
+
+def test_one_request_of_every_workload_passes_its_check(monkeypatch, tmp_path):
+    # a changed signature or output of anything the workloads call fails here
+    _load(monkeypatch, "hostref", TRACER.parent / "hostref.py")  # workloads imports it
+    workloads = _load(monkeypatch, "perfbench_workloads", TRACER.parent / "workloads.py")
+    setup = workloads.set_up(0, 0.0, str(tmp_path))
+    for name, cls in workloads.WORKLOADS.items():
+        w = cls(setup)
+        try:
+            w.reset()
+            item = w.items[0]
+            assert w.check(item, w.op(item)) is None, name
+        finally:
+            w.close()

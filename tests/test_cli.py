@@ -172,7 +172,7 @@ def test_config_and_mask_share_the_block_check():
     assert str(refused.value) == f"min_block and max_block: {unplaceable.value}"
 
 
-_OUT_OF_RANGE = ["batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t2i_lr=-1e-4",
+_OUT_OF_RANGE = ["seed=-1", "batch_size=0", "batch_size=-2", "lr=0", "lr=nan", "lr=inf", "t2i_lr=-1e-4",
                  "caption_lr=nan", "p_dae=1.5", "p_dae=-0.1", "image_mask_rate=2",
                  "text_mask_rate=nan", "val_frac=1.01", "top_p=0", "top_p=1.5",
                  "clip_norm=-1", "clip_norm=nan", "adam_eps=0", "adam_eps=-1e-8",
@@ -503,6 +503,43 @@ def test_imagine_refuses_an_empty_caption(tmp_path, small_ckpt, capsys, monkeypa
     assert rc == 1
     _one_error_line(capsys, "--caption has no words")
     assert not (tmp_path / "samples").exists()
+
+
+def test_imagine_refuses_a_caption_longer_than_max_text_len(tmp_path, small_ckpt, capsys,
+                                                           monkeypatch):
+    def no_model_call(*_args, **_kwargs):
+        raise AssertionError("the model ran on an over-long caption")
+    monkeypatch.setattr("duvlg.decoding.generate_image", no_model_call)
+    capsys.readouterr()
+    rc = cli_dispatch(["imagine", "--ckpt", str(small_ckpt), "--caption",
+                       " ".join(["a red block at top left"] * 5),
+                       "--out-dir", str(tmp_path / "samples")])
+    assert rc == 1
+    _one_error_line(capsys, "--caption has 30 words; the model reads at most max_text_len 24")
+    assert not (tmp_path / "samples").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pretrain", "--steps", "-5"], "--steps must be >= 0, got -5"),
+    (["pretrain", "--steps", "-1", "--resume", "base.ckpt"], "--steps must be >= 0, got -1"),
+    (["finetune", "--epochs", "-2", "--ckpt", "base.ckpt", "--task", "caption"],
+     "--epochs must be >= 0, got -2"),
+], ids=["pretrain", "resume", "finetune"])
+def test_negative_step_counts_are_refused_before_loading(tmp_path, small_ckpt, capsys,
+                                                        monkeypatch, argv, flag):
+    # they used to save a checkpoint at a negative step, or an untrained one
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("loaded or built a model despite a negative count")
+
+    monkeypatch.setattr("duvlg.cli.build_model", must_not_run)
+    monkeypatch.setattr("duvlg.cli.load_checkpoint", must_not_run)
+    argv = [str(small_ckpt) if a == "base.ckpt" else a for a in argv]
+    capsys.readouterr()
+    rc = cli_dispatch(argv + ["--data", str(tmp_path / "absent.tsv"),
+                              "--out", str(tmp_path / "out.ckpt")])
+    assert rc == 1
+    _one_error_line(capsys, flag)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_with_checkpoint_command_rejected(tmp_path, data_file, capsys):

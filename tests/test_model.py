@@ -99,8 +99,8 @@ def test_cached_step_matches_full_recompute_text():
     enc = m.encode(model, text_ids=_word_ids(0, 1, 2))
     seqs = np.array([[SPECIALS.bos, 8, 9, 10, 11, 8, 12, 13],
                      [SPECIALS.bos, 13, 12, 9, 8, 10, 11, 9]])
-    cache = m.DecoderCache(model, TINY.max_dec_len)
     with ad.no_grad():
+        cache = m.DecoderCache(model, ad.reshape(enc, (1,) + enc.shape), TINY.max_dec_len)
         _step_against_full_recompute(model, enc, seqs, cache, 0, seqs.shape[1])
     assert cache.length == TINY.max_dec_len
     with pytest.raises(ValueError, match="max decoder length"):
@@ -115,8 +115,8 @@ def test_cached_step_matches_full_recompute_image_prefix():
     rng = np.random.default_rng(0)
     visual = m.visual_to_unified(rng.integers(0, cfg.visual_vocab, (2, cfg.max_patches)), cfg)
     seqs = np.concatenate([np.full((2, 1), SPECIALS.boi), visual], axis=1)  # 65 positions
-    cache = m.DecoderCache(model, seqs.shape[1])
     with ad.no_grad():
+        cache = m.DecoderCache(model, ad.reshape(enc, (1,) + enc.shape), seqs.shape[1])
         _step_against_full_recompute(model, enc, seqs, cache, 0, seqs.shape[1])
 
 
@@ -126,13 +126,29 @@ def test_cached_step_after_reorder_matches_full_recompute():
     first = np.array([[SPECIALS.bos, 8, 9, 10],
                       [SPECIALS.bos, 11, 12, 13],
                       [SPECIALS.bos, 13, 8, 8]])
-    cache = m.DecoderCache(model, 7)
     with ad.no_grad():
+        cache = m.DecoderCache(model, ad.reshape(enc, (1,) + enc.shape), 7)
         _step_against_full_recompute(model, enc, first, cache, 0, 4)
         rows = [2, 0, 0]  # row 1 dropped, row 0 duplicated, as beam search does
         cache.reorder(rows)
         seqs = np.concatenate([first[rows], [[9, 10, 11], [12, 8, 9], [8, 8, 13]]], axis=1)
         _step_against_full_recompute(model, enc, seqs, cache, 4, 7)
+
+
+def test_cached_step_past_capacity_is_refused_and_changes_nothing():
+    model = _tiny_model(5)
+    enc = m.encode(model, text_ids=_word_ids(2, 4))
+    enc_b, valid = ad.reshape(enc, (1,) + enc.shape), np.ones((1, enc.shape[0]), dtype=bool)
+    seqs = np.array([[SPECIALS.bos, 8, 9, 10], [SPECIALS.bos, 11, 12, 13]])
+    with ad.no_grad():
+        cache = m.DecoderCache(model, enc_b, 3)
+        for t in range(3):
+            m.decode_forward_batch(model, seqs[:, t:t + 1], enc_b, valid, cache)
+        filled = cache.k.copy(), cache.v.copy()
+        with pytest.raises(ValueError, match="4 positions exceeds decoder cache capacity 3"):
+            m.decode_forward_batch(model, seqs[:, 3:], enc_b, valid, cache)
+    assert cache.length == 3
+    assert np.array_equal(cache.k, filled[0]) and np.array_equal(cache.v, filled[1])
 
 
 def test_decode_rejects_out_of_range_ids():
