@@ -233,9 +233,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.values, -1, -2))
+            _accum(a, g @ b.values.swapaxes(-1, -2))
         if b.requires_grad:
-            _accum(b, np.swapaxes(a.values, -1, -2) @ g)
+            _accum(b, a.values.swapaxes(-1, -2) @ g)
 
     return _op(out_vals, (a, b), bw)
 
@@ -251,9 +251,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            _accum(x, g @ np.swapaxes(w.values, -1, -2))
+            _accum(x, g @ w.values.swapaxes(-1, -2))
         if w.requires_grad:
-            _accum(w, np.swapaxes(x.values, -1, -2) @ g)
+            _accum(w, x.values.swapaxes(-1, -2) @ g)
         _accum(b, g)
 
     return _op(out_vals, (x, w, b), bw)
@@ -270,9 +270,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     def bw(g):
-        _accum(a, np.swapaxes(g, ax1, ax2))
+        _accum(a, g.swapaxes(ax1, ax2))
 
-    return _op(np.swapaxes(a.values, ax1, ax2), (a,), bw)
+    return _op(a.values.swapaxes(ax1, ax2), (a,), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -320,20 +320,38 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _op(table.values[ids], (table,), bw)
 
 
+def gather_stacked(top: Tensor, bottom: Tensor, ids) -> Tensor:
+    """Rows of ``top`` stacked over ``bottom`` (id ``len(top) + i`` is row i
+    of ``bottom``) for ids of any shape, without building the stack: one
+    gather when every id names one table.  Backward scatters each table's
+    own positions with ``np.add.at`` in position order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    split = top.values.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= split + bottom.values.shape[0]):
+        raise ShapeError(f"gather id out of range for {split} + {bottom.values.shape[0]} rows")
+    low = ids < split
+    if low.all():
+        values = top.values[ids]
+    elif not low.any():
+        values = bottom.values[ids - split]
+    else:
+        values = np.empty(ids.shape + top.values.shape[1:])
+        values[low] = top.values[ids[low]]
+        values[~low] = bottom.values[ids[~low] - split]
+
+    def bw(g):
+        for table, sel, rows in ((top, low, ids), (bottom, ~low, ids - split)):
+            if table.requires_grad:
+                np.add.at(_own_grad(table), rows[sel], g[sel])
+
+    return _op(values, (top, bottom), bw)
+
+
 def sum_all(a: Tensor) -> Tensor:
     def bw(g):
         _accum(a, np.broadcast_to(g, a.values.shape))
 
     return _op(a.values.sum(), (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_vals = np.tanh(a.values)
-
-    def bw(g):
-        _accum(a, g * (1.0 - out_vals * out_vals))
-
-    return _op(out_vals, (a,), bw)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -359,20 +377,6 @@ def gelu(a: Tensor) -> Tensor:
 # normalization / losses
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by row-max subtraction; the
-    reference ``attention`` is tested against."""
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_vals = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        dot = (g * out_vals).sum(axis=-1, keepdims=True)
-        _accum(a, (g - dot) * out_vals)
-
-    return _op(out_vals, (a,), bw)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               mask: np.ndarray | None = None) -> Tensor:
     """Multi-head attention as one node from the projections, queries
@@ -382,7 +386,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     ``mask`` is an additive constant (0 or -inf) over them.  Only the softmax
     weights, computed in the scores' own buffer, are kept for backward.
     Output and gradients are bitwise equal to the chain head split,
-    ``matmul``, ``mul``, ``add``, ``softmax_rows``, ``matmul``, head merge."""
+    ``matmul``, ``mul``, ``add``, a row softmax, ``matmul``, head merge."""
     qs, ks = q.values.shape, k.values.shape
     if len(qs) != 3 or ks != v.values.shape or len(ks) != 3 or qs[2] != ks[2] \
             or ks[0] not in (1, qs[0]) or n_heads < 1 or qs[2] % n_heads:
@@ -392,7 +396,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     scale = 1.0 / np.sqrt(dh)
 
     def heads(x):  # [B x T x d] -> [B x h x T x dh], a view where x allows it
-        return np.swapaxes(x.reshape(x.shape[0], x.shape[1], n_heads, dh), 1, 2)
+        return x.reshape(x.shape[0], x.shape[1], n_heads, dh).swapaxes(1, 2)
 
     def merged_matmul(a, b):  # a @ b written through the head view of [B x T x d]
         out = np.empty((a.shape[0], a.shape[2], qs[2]))
@@ -400,28 +404,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return out
 
     qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
-    w = qh @ np.swapaxes(kh, -1, -2)
+    w = qh @ kh.swapaxes(-1, -2)
     w *= scale
     if mask is not None:
         w += mask
-    w -= w.max(axis=-1, keepdims=True)
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
 
     def bw(g):
         g = heads(g)
         # the chain's order: v, then q, then k (one tensor may be all three)
         if v.requires_grad:
-            _accum(v, merged_matmul(np.swapaxes(w, -1, -2), g))
+            _accum(v, merged_matmul(w.swapaxes(-1, -2), g))
         if q.requires_grad or k.requires_grad:
-            ds = g @ np.swapaxes(vh, -1, -2)
-            ds -= (ds * w).sum(axis=-1, keepdims=True)
+            ds = g @ vh.swapaxes(-1, -2)
+            ds -= np.add.reduce(ds * w, axis=-1, keepdims=True)
             ds *= w
             ds *= scale
             if q.requires_grad:
                 _accum(q, merged_matmul(ds, kh))
             if k.requires_grad:  # (q^T @ ds)^T, merged by one copy
-                gk = np.swapaxes(qh, -1, -2) @ ds  # [B x h x dh x Tk]
+                gk = qh.swapaxes(-1, -2) @ ds  # [B x h x dh x Tk]
                 _accum(k, gk.transpose(0, 3, 1, 2).reshape(gk.shape[0], -1, qs[2]))
 
     return _op(merged_matmul(w, vh), (q, k, v), bw)
@@ -430,7 +434,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 def _row_mean(v: np.ndarray) -> np.ndarray:
     """``v.mean(axis=-1, keepdims=True)`` to the bit (the sum divided in place
     by the count, as ``np.mean`` computes it) without its per-call overhead."""
-    m = v.sum(axis=-1, keepdims=True)
+    m = np.add.reduce(v, axis=-1, keepdims=True)
     m /= v.shape[-1]
     return m
 

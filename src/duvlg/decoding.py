@@ -20,7 +20,8 @@ from .codec import ImageGrid, decode_tokens
 # decode_forward is unused here but stays importable: the benchmark's tracer
 # (perfbench/tracer.py) wraps decoding.decode_forward
 from .model import (N_SPECIALS, SPECIALS, DecoderCache, DuVlgModel, decode_forward,  # noqa: F401
-                    decode_forward_batch, encode, encode_batch, unified_to_visual)
+                    decode_forward_batch, decoder_states, encode, encode_batch, head, head_block,
+                    unified_to_visual)
 
 _STRATEGIES = ("greedy", "beam", "nucleus", "topk")
 
@@ -80,10 +81,19 @@ def _step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids,
                    temperature) -> np.ndarray:
     """Feed one token per row through the cached decoder; returns log-probs
     [rows x len(candidate_ids)], each row renormalized to that support.
+    Only the head block of the tied table holding every candidate is
+    computed (text_embed or visual_embed_dec; the full head when they mix).
     Raises ``ValueError`` if any of them is not finite, before the caller
     draws a token or ranks a hypothesis."""
     step = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
-    logits = decode_forward_batch(model, step, enc, enc_valid, cache)
+    states = decoder_states(model, step, enc, enc_valid, cache)
+    split = N_SPECIALS + model.cfg.text_vocab
+    if candidate_ids.max() < split:
+        logits = head_block(states, model.text_embed)
+    elif candidate_ids.min() >= split:
+        logits, candidate_ids = head_block(states, model.visual_embed_dec), candidate_ids - split
+    else:
+        logits = head(model, states)
     rows = logits.values[:, -1, candidate_ids] / temperature
     rows = rows - rows.max(axis=1, keepdims=True)
     lp = rows - np.log(np.exp(rows).sum(axis=1, keepdims=True))
@@ -96,38 +106,42 @@ def beam_search(model: DuVlgModel, enc_states, cfg: DecodeConfig):
     """Length-normalized beam search; returns (token ids, normalized score).
 
     Returned ids are content tokens (no start/stop).  beam_size=1 is greedy.
-    All live hypotheses advance as one cached batch step.
+    All live hypotheses advance as one cached batch step.  They are the rows
+    of an int array in lexicographic order, all of one length, so a flat
+    index into the [rows x words] pool of extensions orders them by tokens:
+    a stable sort of the negated scores ranks the pool by ``(-score,
+    tokens)``, and sorting the kept flat indices keeps the rows in order.
+    Each step keeps only its best finished hypothesis.
     """
     eos = SPECIALS.eos if cfg.modality == "text" else SPECIALS.eoi
     bos = SPECIALS.bos if cfg.modality == "text" else SPECIALS.boi
     content = allowed_ids(model, cfg.modality)
     candidates = np.concatenate(([eos], content))
 
-    def norm(total, emitted):
-        return total / emitted**cfg.length_norm
-
-    active = [((), 0.0)]
+    hyps = np.empty((1, 0), dtype=np.int64)
+    totals = np.zeros(1)
     last = [bos]  # each hypothesis's newest token, fed at the next step
-    finished = []  # (tokens, normalized score)
+    best = []  # (-normalized score, tokens) of each step's best finished hypothesis
+
+    def finish(scores):  # of equal scores, the first row has the smallest tokens
+        row = int(np.argmax(scores))
+        best.append((-scores[row], hyps[row].tolist()))
+
     with ad.no_grad():
         enc, enc_valid, cache = _start(model, enc_states, cfg.max_len)
-        for _ in range(cfg.max_len):
+        for length in range(cfg.max_len):
             lp = _step_logprobs(model, enc, enc_valid, cache, last, candidates, cfg.temperature)
-            pool = []
-            for row, (tokens, total) in enumerate(active):
-                finished.append((tokens, norm(total + lp[row, 0], len(tokens) + 1)))
-                for j, tid in enumerate(candidates[1:], start=1):
-                    pool.append((tokens + (int(tid),), total + lp[row, j], row))
-            pool.sort(key=lambda e: (-e[1], e[0]))
-            pool = pool[:cfg.beam_size]
-            cache.reorder([row for _, _, row in pool])
-            active = [(tokens, total) for tokens, total, _ in pool]
-            last = [tokens[-1] for tokens, _ in active]
-    finished.extend((tokens, norm(total, cfg.max_len)) for tokens, total in active)
-
-    finished.sort(key=lambda e: (-e[1], e[0]))
-    best_tokens, best_score = finished[0]
-    return np.asarray(best_tokens, dtype=np.int64), float(best_score)
+            finish((totals + lp[:, 0]) / (length + 1)**cfg.length_norm)
+            pool = totals[:, None] + lp[:, 1:]
+            kept = np.sort(np.argsort(-pool, axis=None, kind="stable")[:cfg.beam_size])
+            rows, words = np.divmod(kept, len(content))
+            cache.reorder(rows)
+            last = content[words]
+            hyps = np.column_stack((hyps[rows], last))
+            totals = pool.reshape(-1)[kept]
+    finish(totals / cfg.max_len**cfg.length_norm)
+    neg_score, tokens = min(best)
+    return np.asarray(tokens, dtype=np.int64), float(-neg_score)
 
 
 def nucleus_filter(probs: np.ndarray, top_p: float):
@@ -151,6 +165,17 @@ def top_k_filter(probs: np.ndarray, k: int):
     return order, mass / mass.sum()
 
 
+def _support_mass(ranked: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Each row's sum of its first ``kept[r]`` entries, one ``sum(axis=1)``
+    over the rows of each support size: bitwise the 1-D sum of each row's
+    support (a zero-padded sum would regroup numpy's pairwise summation)."""
+    mass = np.empty(len(kept))
+    for n in set(kept.tolist()):  # np.unique's first call maps ~1.5 MB of RSS
+        sel = kept == n
+        mass[sel] = ranked[sel, :n].sum(axis=1)
+    return mass
+
+
 def _pick(lp: np.ndarray, cfg: DecodeConfig, rngs) -> np.ndarray:
     """One index into the candidate vector per row of log-probs [rows x C].
 
@@ -158,8 +183,8 @@ def _pick(lp: np.ndarray, cfg: DecodeConfig, rngs) -> np.ndarray:
     or ``top_k_filter`` would), draws exactly one ``rngs[r].random()`` per
     row in row order, and returns what ``rngs[r].choice(support, p=renorm)``
     would: the first support entry whose normalized cumulative mass exceeds
-    the draw.  Each support's mass is the 1-D sum of exactly its entries, as
-    in the per-row reference, so the bits match it."""
+    the draw.  Each support's mass is summed over exactly its entries
+    (``_support_mass``), so the bits match the per-row reference."""
     if cfg.strategy == "greedy":
         return np.argmax(lp, axis=1)
     if cfg.strategy not in ("nucleus", "topk"):
@@ -168,19 +193,19 @@ def _pick(lp: np.ndarray, cfg: DecodeConfig, rngs) -> np.ndarray:
     probs = np.exp(lp)
     probs /= probs.sum(axis=1, keepdims=True)
     order = np.argsort(-probs, axis=1, kind="stable")
-    ranked = np.take_along_axis(probs, order, axis=1)
+    index = np.arange(rows)
+    ranked = probs[index[:, None], order]
     if cfg.strategy == "nucleus":
         kept = np.minimum((np.cumsum(ranked, axis=1) < cfg.top_p).sum(axis=1) + 1, size)
     else:
         kept = np.full(rows, min(cfg.k, size))
-    mass = np.array([row[:n].sum() for row, n in zip(ranked, kept)])
-    renorm = ranked / mass[:, None]
+    renorm = ranked / _support_mass(ranked, kept)[:, None]
     renorm[np.arange(size) >= kept[:, None]] = 0.0
     cdf = np.cumsum(renorm, axis=1)
-    cdf /= cdf[np.arange(rows), kept - 1][:, None]
+    cdf /= cdf[index, kept - 1][:, None]
     draws = np.array([rng.random() for rng in rngs])
     # past the support cdf is exactly 1.0, above every draw
-    return order[np.arange(rows), (cdf <= draws[:, None]).sum(axis=1)]
+    return order[index, (cdf <= draws[:, None]).sum(axis=1)]
 
 
 def _sample(model, enc_states, cfg: DecodeConfig, rngs, first: int, candidates,

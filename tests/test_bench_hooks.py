@@ -1,12 +1,17 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps duvlg functions at the
 module names callers look them up by.  Renaming or deleting one of them must
-fail here, in the test suite, rather than in a benchmark run."""
+fail here, in the test suite, rather than in a benchmark run.  The decoding
+workloads' outputs are pinned too, so a change meant to keep their bits
+shows here when it does not."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -62,10 +67,16 @@ def test_every_name_the_benchmark_calls_resolves():
             "duvlg.checkpoint"} <= seen
 
 
-def test_one_request_of_every_workload_passes_its_check(monkeypatch, tmp_path):
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, loaded as is."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _load(monkeypatch, "hostref", TRACER.parent / "hostref.py")  # workloads imports it
+        yield _load(monkeypatch, "perfbench_workloads", TRACER.parent / "workloads.py")
+
+
+def test_one_request_of_every_workload_passes_its_check(workloads, tmp_path):
     # a changed signature or output of anything the workloads call fails here
-    _load(monkeypatch, "hostref", TRACER.parent / "hostref.py")  # workloads imports it
-    workloads = _load(monkeypatch, "perfbench_workloads", TRACER.parent / "workloads.py")
     setup = workloads.set_up(0, 0.0, str(tmp_path))
     for name, cls in workloads.WORKLOADS.items():
         w = cls(setup)
@@ -75,3 +86,40 @@ def test_one_request_of_every_workload_passes_its_check(monkeypatch, tmp_path):
             assert w.check(item, w.op(item)) is None, name
         finally:
             w.close()
+
+
+# sha256 of the workloads' outputs at seed 0: a caption round's 16 beam-5
+# captions (the workload's digest lines), and the first imagine request's
+# token sequences, rerank index and scores in hex
+_PINNED_CAPTION_ROUND = "ecb05edae9cccc322c2558c1aca0a5f0650f354fe91042ba349e79f62c843ee8"
+_PINNED_IMAGINE_REQUEST = "d42d8587f6e913a4d6078753e554619de04d38e3f0dc72cc5a6a1ee6131045a2"
+
+
+@pytest.fixture(scope="module")
+def decode_setup(workloads, tmp_path_factory):
+    """The set-up at seed 0, which only the decoding workloads use (a
+    pretrain request would train its model)."""
+    return workloads.set_up(0, 0.0, str(tmp_path_factory.mktemp("bench")))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_caption_round_outputs_pinned(workloads, decode_setup):
+    w = workloads.Caption(decode_setup)
+    w.reset()
+    assert len(w.items) == 16
+    lines = [w.digest_line(w.op(ex)) for ex in w.items]
+    assert _sha("\n".join(lines)) == _PINNED_CAPTION_ROUND
+
+
+def test_imagine_request_outputs_pinned(workloads, decode_setup):
+    w = workloads.Imagine(decode_setup)
+    try:
+        w.reset()
+        out = w.op(w.items[0])
+    finally:
+        w.close()
+    scores = " ".join(float(s).hex() for s in out[3])
+    assert _sha(f"{w.digest_line(out)}|{scores}") == _PINNED_IMAGINE_REQUEST

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from duvlg import autodiff as ad
 from duvlg import config
 from duvlg import decoding as dec
 from duvlg import model as mdl
@@ -13,6 +14,8 @@ from duvlg.codec import PatchFeaturizer, VisualCodebook
 from duvlg.data import TextVocab, gen_dataset
 from duvlg.decoding import DecodeConfig, beam_search, nucleus_filter, top_k_filter
 from duvlg.model import SPECIALS, ModelConfig, N_SPECIALS
+
+import reference
 
 
 def _tiny(seed, text_vocab=3):
@@ -125,6 +128,130 @@ def test_beam_score_at_least_greedy():
         g_tokens, g_score = beam_search(model, enc, DecodeConfig(beam_size=1, max_len=6))
         b_tokens, b_score = beam_search(model, enc, DecodeConfig(beam_size=5, max_len=6))
         assert b_score >= g_score - 1e-12
+
+
+class _PrefixCache:
+    """Stands in for the decoder cache: each row's fed tokens."""
+
+    def __init__(self):
+        self.prefixes = [()]
+
+    def reorder(self, rows):
+        self.prefixes = [self.prefixes[r] for r in rows]
+
+
+def _fake_decoder(monkeypatch, logprobs):
+    """Route beam search through a decoder whose step log-probs for a row are
+    ``logprobs(tokens fed to that row)``, whatever the row's position."""
+    def start(_model, _enc_states, _capacity):
+        return None, None, _PrefixCache()
+
+    def step(_model, _enc, _valid, cache, tokens, candidates, _temperature):
+        cache.prefixes = [p + (int(t),) for p, t in zip(cache.prefixes, tokens)]
+        return np.array([logprobs(p, len(candidates)) for p in cache.prefixes])
+
+    monkeypatch.setattr(dec, "_start", start)
+    monkeypatch.setattr(dec, "_step_logprobs", step)
+
+
+def _random_lp(seed):
+    return lambda prefix, n: np.random.default_rng([seed, *prefix]).normal(size=n) * 2.0 - 3.0
+
+
+def _tied_lp(seed):
+    # halves in [-2, -0.5]: every sum is exact, so many scores tie exactly
+    return lambda prefix, n: np.random.default_rng([seed, *prefix]).integers(-4, 0, n) * 0.5
+
+
+_BEAM_LOGPROBS = {
+    "random": _random_lp,
+    "exact_ties": _tied_lp,
+    "uniform": lambda seed: lambda prefix, n: np.full(n, -np.log(n)),
+}
+
+
+@pytest.mark.parametrize("modality", ["text", "image"])
+@pytest.mark.parametrize("beam_size", [1, 2, 5, 200])  # 200 exceeds every pool here
+@pytest.mark.parametrize("case", list(_BEAM_LOGPROBS))
+def test_beam_matches_tuple_sort_reference(monkeypatch, case, beam_size, modality):
+    model = _tiny(0, text_vocab=5)
+    for seed, (max_len, length_norm) in enumerate([(4, 1.0), (5, 0.0), (3, 0.7), (4, -0.5)]):
+        _fake_decoder(monkeypatch, _BEAM_LOGPROBS[case](seed))
+        cfg = DecodeConfig(beam_size=beam_size, max_len=max_len, length_norm=length_norm,
+                           modality=modality)
+        tokens, score = beam_search(model, None, cfg)
+        ref_tokens, ref_score = reference.beam_search(model, None, cfg)
+        assert tokens.tolist() == ref_tokens.tolist()
+        assert score.hex() == ref_score.hex()
+
+
+def test_beam_tie_at_the_cutoff_breaks_by_tokens_across_parents(monkeypatch):
+    # words 8..12; candidate 0 is eos.  After step 1 the beam holds (8,)
+    # (total -2) and (9,) (total -1); at step 2, (8, 12) and (9, 12) tie at
+    # -3 for the second slot, and the smaller tokens (8, 12) must stay,
+    # although its parent scored lower.  It then ends best, at -3 / 3.
+    table = {(0,): [-9, -2, -1, -9, -9, -9],
+             (0, 9): [-9, -0.5, -9, -9, -9, -2],
+             (0, 8): [-9, -9, -9, -9, -9, -1],
+             (0, 8, 12): [0, -9, -9, -9, -9, -9]}
+    _fake_decoder(monkeypatch, lambda prefix, n: np.array(table.get(prefix, [-9.0] * n), float))
+    model, cfg = _tiny(0, text_vocab=5), DecodeConfig(beam_size=2, max_len=3)
+    for search in (beam_search, reference.beam_search):
+        tokens, score = search(model, None, cfg)
+        assert tokens.tolist() == [8, 12] and score == -1.0
+
+
+@pytest.mark.parametrize("beam_size", [1, 5])
+def test_beam_on_a_model_matches_reference_bitwise(gen_world, monkeypatch, beam_size):
+    # end to end: the one-table step log-probs and the array beam against
+    # the full-head step and the tuple-sort beam
+    model, vocab, examples = gen_world
+    searches = []
+    for ex in examples:
+        searches.append((mdl.encode(model, patches=model.featurizer.featurize_image(ex.image)),
+                         DecodeConfig(beam_size=beam_size, max_len=10)))
+        searches.append((mdl.encode(model, text_ids=ex.caption),
+                         DecodeConfig(beam_size=beam_size, max_len=6, modality="image")))
+    got = [beam_search(model, enc, cfg) for enc, cfg in searches]
+    monkeypatch.setattr(dec, "_step_logprobs", reference.step_logprobs)
+    want = [reference.beam_search(model, enc, cfg) for enc, cfg in searches]
+    for (tokens, score), (ref_tokens, ref_score) in zip(got, want):
+        assert tokens.tolist() == ref_tokens.tolist() and score.hex() == ref_score.hex()
+
+
+@pytest.mark.parametrize("candidates", ["text", "image", "mixed"])
+def test_step_logprobs_match_full_head_columns(gen_world, candidates):
+    model, vocab, examples = gen_world
+    ids = {"text": np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text"))),
+           "image": dec.allowed_ids(model, "image"),
+           "mixed": np.concatenate(([SPECIALS.eoi], dec.allowed_ids(model, "image")))}[candidates]
+    first = SPECIALS.boi if candidates != "text" else SPECIALS.bos
+    enc_states = mdl.encode(model, text_ids=examples[2].caption)
+    rng = np.random.default_rng(3)
+    with ad.no_grad():
+        fast, slow = dec._start(model, enc_states, 8), dec._start(model, enc_states, 8)
+        tokens = np.full(3, first)
+        for t in range(8):
+            if t in (3, 6):
+                rows = [2, 0, 0]  # a dropped row and a duplicated one, as the beam does
+                fast[2].reorder(rows)
+                slow[2].reorder(rows)
+            got = dec._step_logprobs(model, *fast, tokens, ids, 0.7)
+            want = reference.step_logprobs(model, *slow, tokens, ids, 0.7)
+            assert np.array_equal(got, want), t
+            tokens = ids[rng.integers(0, len(ids), 3)]
+
+
+def test_support_mass_sums_each_support_alone():
+    # rows whose kept counts differ, including supports past numpy's
+    # 8-way unrolled and 128-element pairwise blocks
+    rng = np.random.default_rng(4)
+    ranked = -np.sort(-rng.uniform(size=(12, 300)), axis=1)
+    for kept in ([1, 2, 7, 8, 9, 127, 128, 129, 300, 9, 2, 300],
+                 rng.integers(1, 301, 12), np.full(12, 5)):
+        kept = np.asarray(kept)
+        got = dec._support_mass(ranked, kept)
+        assert got.tobytes() == reference.support_mass(ranked, kept).tobytes()
 
 
 def test_nucleus_filter_support_and_ratios():
