@@ -12,7 +12,9 @@ File layout (all integers little-endian):
 
 Loading rebuilds the model from the stored config (the frozen featurizer
 and codebook regenerate from their named seeds) and overwrites every
-parameter buffer byte-for-byte.
+parameter buffer byte-for-byte.  Files written while the tied embedding was
+two parameters, ``text_embed`` over ``visual_embed_dec``, still load: the
+two records' bytes, back to back, are those of the one ``embed`` record.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, build_model, config_dict, config_from_dict
+from .config import ConfigError, RunConfig, build_model, config_dict, config_from_dict
 from .data import TextVocab
 from .model import DuVlgModel
 from .optim import OptimState
@@ -78,6 +80,9 @@ def _restore_rng(path, state: dict) -> np.random.Generator:
 
 _HEADER_KEYS = ("config", "step", "rng_state", "optim", "records")
 _OPTIM_KEYS = ("lr", "beta1", "beta2", "eps", "clip_norm", "step_count")
+# the RunConfig key whose range check each stored Adam hyperparameter shares
+_OPTIM_CONFIG_KEY = {"lr": "lr", "beta1": "adam_beta1", "beta2": "adam_beta2",
+                     "eps": "adam_eps", "clip_norm": "clip_norm"}
 
 
 def _is_record(r) -> bool:
@@ -87,7 +92,8 @@ def _is_record(r) -> bool:
 
 
 def _check_header(path, header):
-    """Every field ``load_checkpoint`` reads is present, with the type it needs."""
+    """Every field ``load_checkpoint`` reads is present, with the type it needs,
+    and the step counts and Adam hyperparameters are in range."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     missing = [k for k in _HEADER_KEYS if k not in header]
@@ -99,6 +105,13 @@ def _check_header(path, header):
         raise CheckpointError(f"{path}: header 'optim' needs the scalars {list(_OPTIM_KEYS)}")
     if not isinstance(header["config"], dict) or type(header["step"]) is not int:
         raise CheckpointError(f"{path}: header 'config' or 'step' has the wrong type")
+    try:
+        RunConfig(**{key: optim[k] for k, key in _OPTIM_CONFIG_KEY.items()})
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: header 'optim': {exc}") from None
+    for name, count in (("optim.step_count", optim["step_count"]), ("step", header["step"])):
+        if type(count) is not int or count < 0:
+            raise CheckpointError(f"{path}: header {name!r} must be an integer >= 0, got {count}")
     if not isinstance(header["records"], list) or not all(map(_is_record, header["records"])):
         raise CheckpointError(f"{path}: header 'records' is not a list of [name, shape] pairs")
 
@@ -178,6 +191,11 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         off += nbytes
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
+    for pre in ("", "adam.m.", "adam.v."):  # the two-record layout (module docstring)
+        top, bottom = (arrays.pop(f"{pre}{n}", None) for n in ("text_embed", "visual_embed_dec"))
+        if top is not None and bottom is not None and top.ndim == bottom.ndim == 2 \
+                and top.shape[1] == bottom.shape[1]:
+            arrays.setdefault(f"{pre}embed", np.concatenate((top, bottom)))
 
     for name, p in model.named_parameters():
         if name not in arrays:

@@ -58,8 +58,8 @@ def allowed_ids(model: DuVlgModel, modality: str) -> np.ndarray:
     (excluding stop tokens, which the search handles itself)."""
     cfg = model.cfg
     if modality == "text":
-        return np.arange(N_SPECIALS, N_SPECIALS + cfg.text_vocab)
-    return np.arange(N_SPECIALS + cfg.text_vocab, cfg.head_size)
+        return np.arange(N_SPECIALS, cfg.first_visual_id)
+    return np.arange(cfg.first_visual_id, cfg.head_size)
 
 
 def check_text_len(model: DuVlgModel, cfg: DecodeConfig):
@@ -81,17 +81,18 @@ def _step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids,
                    temperature) -> np.ndarray:
     """Feed one token per row through the cached decoder; returns log-probs
     [rows x len(candidate_ids)], each row renormalized to that support.
-    Only the head block of the tied table holding every candidate is
-    computed (text_embed or visual_embed_dec; the full head when they mix).
+    Only the head block of the tied table's text or visual rows is computed
+    when it holds every candidate (the full head when they mix).
     Raises ``ValueError`` if any of them is not finite, before the caller
     draws a token or ranks a hypothesis."""
     step = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
     states = decoder_states(model, step, enc, enc_valid, cache)
-    split = N_SPECIALS + model.cfg.text_vocab
+    split = model.cfg.first_visual_id
     if candidate_ids.max() < split:
-        logits = head_block(states, model.text_embed)
+        logits = head_block(states, Tensor(model.embed.values[:split]))
     elif candidate_ids.min() >= split:
-        logits, candidate_ids = head_block(states, model.visual_embed_dec), candidate_ids - split
+        logits = head_block(states, Tensor(model.embed.values[split:]))
+        candidate_ids = candidate_ids - split
     else:
         logits = head(model, states)
     rows = logits.values[:, -1, candidate_ids] / temperature

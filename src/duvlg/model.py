@@ -2,12 +2,12 @@
 
 The encoder reads continuous patch features (through a learned projection)
 next to text embeddings; the decoder consumes and produces a unified id
-space over specials + text words + discrete visual tokens.  Text embedding
-rows are shared storage between the encoder input, the decoder input, and
-the generation head.
+space over specials + text words + discrete visual tokens.  One tied table,
+``embed``, holds a row per unified id: it embeds the encoder's text and the
+decoder's input, and its rows are the generation head's weights.
 
 Unified id layout: specials occupy [0, S), text words [S, S + V_t),
-visual tokens [S + V_t, S + V_t + K).
+visual tokens [S + V_t, S + V_t + K); S + V_t is ``first_visual_id``.
 
 There is one forward implementation, over batches: ``encode_batch`` and
 ``decode_forward_batch`` (``decoder_states``, then the tied ``head``);
@@ -24,7 +24,7 @@ self-attention rows when beam search keeps a hypothesis.
 Parameter count (d = d_model, F = d_ff, S = 8 specials, D = max decoder
 length = max(max_text_len, max_patches) + 2):
 
-    (V_t + S + K) * d                      embeddings
+    (S + V_t + K) * d                      tied embedding table
   + d_feat * d + d                         patch projection + patch [MASK]
   + (max_text_len + max_patches + D) * d   positional tables
   + 2 * d                                  segment embeddings
@@ -87,8 +87,12 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
     @property
+    def first_visual_id(self) -> int:
+        return N_SPECIALS + self.text_vocab
+
+    @property
     def head_size(self) -> int:
-        return N_SPECIALS + self.text_vocab + self.visual_vocab
+        return self.first_visual_id + self.visual_vocab
 
     @property
     def max_dec_len(self) -> int:
@@ -96,11 +100,11 @@ class ModelConfig:
 
 
 def visual_to_unified(v, cfg: ModelConfig):
-    return np.asarray(v, dtype=np.int64) + N_SPECIALS + cfg.text_vocab
+    return np.asarray(v, dtype=np.int64) + cfg.first_visual_id
 
 
 def unified_to_visual(u, cfg: ModelConfig):
-    return np.asarray(u, dtype=np.int64) - N_SPECIALS - cfg.text_vocab
+    return np.asarray(u, dtype=np.int64) - cfg.first_visual_id
 
 
 def parameter_count(cfg: ModelConfig) -> int:
@@ -108,7 +112,7 @@ def parameter_count(cfg: ModelConfig) -> int:
     d, f = cfg.d_model, cfg.d_ff
     per_enc = 4 * d * d + 2 * d * f + 9 * d + f
     per_dec = 8 * d * d + 2 * d * f + 15 * d + f
-    return ((cfg.text_vocab + N_SPECIALS + cfg.visual_vocab) * d
+    return (cfg.head_size * d
             + cfg.d_feat * d + d
             + (cfg.max_text_len + cfg.max_patches + cfg.max_dec_len) * d
             + 2 * d
@@ -186,8 +190,7 @@ class _DecLayer:
 class DuVlgModel:
     cfg: ModelConfig
     params: dict[str, Tensor]
-    text_embed: Tensor
-    visual_embed_dec: Tensor
+    embed: Tensor  # row i embeds unified id i
     patch_proj: Tensor
     mask_patch: Tensor
     enc_text_pos: Tensor
@@ -228,8 +231,7 @@ def init_model(cfg: ModelConfig, seed: int,
     p = _Params(rng, gain=0.02)
     d, f = cfg.d_model, cfg.d_ff
 
-    text_embed = p.uniform("text_embed", cfg.text_vocab + N_SPECIALS, d)
-    visual_embed_dec = p.uniform("visual_embed_dec", cfg.visual_vocab, d)
+    embed = p.uniform("embed", cfg.head_size, d)
     patch_proj = p.uniform("patch_proj", cfg.d_feat, d)
     mask_patch = p.uniform("mask_patch", d)
     enc_text_pos = p.uniform("enc_text_pos", cfg.max_text_len, d)
@@ -262,7 +264,7 @@ def init_model(cfg: ModelConfig, seed: int,
 
     model = DuVlgModel(
         cfg=cfg, params=p.table,
-        text_embed=text_embed, visual_embed_dec=visual_embed_dec,
+        embed=embed,
         patch_proj=patch_proj, mask_patch=mask_patch,
         enc_text_pos=enc_text_pos, enc_img_pos=enc_img_pos, dec_pos=dec_pos,
         seg_embed=seg_embed,
@@ -346,7 +348,7 @@ def _key_add(valid: np.ndarray) -> np.ndarray | None:
 def _placeholder(model: DuVlgModel, token: int, b: int) -> Tensor:
     """A special token's embedding row tiled into [B x 1 x d] by a broadcast
     ``add`` of zeros, whose backward sums the B rows' gradients."""
-    row = ad.gather_rows(model.text_embed, np.array([token]))
+    row = ad.gather_rows(model.embed, np.array([token]))
     return ad.add(ad.reshape(row, (1, 1, model.cfg.d_model)), Tensor(np.zeros((b, 1, 1))))
 
 
@@ -390,8 +392,7 @@ def encode_batch(model: DuVlgModel, text_ids: list | None, patches: list | None,
         if min(lens) == 0:
             raise ValueError("empty text; pass None for a missing modality")
         padded, text_valid = pad_ragged(text_ids, SPECIALS.pad)
-        text = ad.reshape(ad.gather_rows(model.text_embed, padded.reshape(-1)),
-                          (b, padded.shape[1], d))
+        text = ad.gather_rows(model.embed, padded)
     text_seg = ad.add(ad.add(text, ad.narrow_rows(model.enc_text_pos, 0, text_valid.shape[1])),
                       ad.narrow_rows(model.seg_embed, 1, 2))
 
@@ -442,7 +443,7 @@ def decoder_states(model: DuVlgModel, targets: np.ndarray, enc_states: Tensor,
     if cache is not None and start + t > cache.capacity:
         raise ValueError(f"{start + t} positions exceeds decoder cache capacity {cache.capacity}")
 
-    x = ad.add(embed_unified(model, targets), ad.narrow_rows(model.dec_pos, start, start + t))
+    x = ad.add(ad.gather_rows(model.embed, targets), ad.narrow_rows(model.dec_pos, start, start + t))
     key_add = _key_add(enc_valid)
     # position start + j sees keys 0 .. start + j; a single query sees them all
     causal = None if t == 1 else np.triu(np.full((t, start + t), -np.inf), k=start + 1)
@@ -465,17 +466,19 @@ def decoder_states(model: DuVlgModel, targets: np.ndarray, enc_states: Tensor,
     return ad.layer_norm(x, model.dec_final_g, model.dec_final_b)
 
 
-def head_block(states: Tensor, table: Tensor) -> Tensor:
-    """One tied table's block of the head, logits [B x T x rows]; its bits do
-    not depend on the other block."""
-    return ad.matmul(states, ad.transpose(table))
+def head_block(states: Tensor, rows: Tensor) -> Tensor:
+    """Logits [B x T x len(rows)] against a block of rows of the tied table;
+    their bits do not depend on the other rows."""
+    return ad.matmul(states, ad.transpose(rows))
 
 
 def head(model: DuVlgModel, states: Tensor) -> Tensor:
-    """Logits [B x T x (S + V_t + K)] over the unified id space: the text
-    block reuses text_embed storage, the visual block visual_embed_dec."""
-    return ad.concat([head_block(states, model.text_embed),
-                      head_block(states, model.visual_embed_dec)], axis=2)
+    """Logits [B x T x (S + V_t + K)] over the unified id space, as a text
+    block (specials and words) and a visual block of the tied ``embed``."""
+    split = model.cfg.first_visual_id
+    return ad.concat([head_block(states, ad.narrow_rows(model.embed, 0, split)),
+                      head_block(states, ad.narrow_rows(model.embed, split, model.cfg.head_size))],
+                     axis=2)
 
 
 def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Tensor,
@@ -484,13 +487,6 @@ def decode_forward_batch(model: DuVlgModel, targets: np.ndarray, enc_states: Ten
     logits [B x T x (S + V_t + K)], the ``head`` of ``decoder_states``
     (which gives the padding and ``cache`` rules)."""
     return head(model, decoder_states(model, targets, enc_states, enc_valid, cache))
-
-
-def embed_unified(model: DuVlgModel, ids: np.ndarray) -> Tensor:
-    """Decoder input embedding of unified ids of any shape, [*ids.shape x d]:
-    one ``gather_stacked`` op over the tied tables, text_embed (specials and
-    words) stacked over visual_embed_dec (visual tokens)."""
-    return ad.gather_stacked(model.text_embed, model.visual_embed_dec, ids)
 
 
 def decode_forward(model: DuVlgModel, targets, enc_states: Tensor) -> Tensor:

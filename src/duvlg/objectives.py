@@ -106,16 +106,17 @@ def loss_commitment(batch: TaskBatch, model: DuVlgModel) -> Tensor:
     """Squared distance between frozen projected clean-patch features and the
     decoder's visual token embeddings, averaged over patch positions.
 
-    The projection side sits behind stop_gradient: only visual_embed_dec rows
-    of tokens present in the batch receive gradient.  Brackets have no patch
-    and are excluded.
+    The projection side sits behind stop_gradient: only the ``embed`` rows
+    of visual tokens present in the batch receive gradient.  Brackets have
+    no patch and are excluded.
     """
     if batch.kind not in IMAGE_TARGET_KINDS:
         raise ValueError(f"commitment loss undefined for {batch.kind}")
     feats = Tensor(np.stack([f.features.values for f in batch.clean_features]))
     proj = ad.stop_gradient(ad.matmul(feats, model.patch_proj))
     b, n, d = proj.shape
-    emb = ad.gather_rows(model.visual_embed_dec, np.concatenate(batch.clean_visual))
+    emb = ad.gather_rows(model.embed,
+                         visual_to_unified(np.concatenate(batch.clean_visual), model.cfg))
     return ad.squared_error(ad.reshape(proj, (b * n, d)), emb)
 
 

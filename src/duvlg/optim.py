@@ -185,6 +185,8 @@ def evaluate_task_nll(dataset, model: DuVlgModel, kind: TaskKind, cfg: RunConfig
                       seed: int = 0, batch_size: int = 16) -> float:
     """Deterministic held-out NLL for one task (fixed corruption seed),
     computed without building autograd graphs."""
+    if not dataset:
+        raise ValueError("empty dataset")
     rng = np.random.default_rng(seed)
     total, n = 0.0, 0
     with ad.no_grad():

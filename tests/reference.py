@@ -7,7 +7,7 @@ import numpy as np
 from duvlg import autodiff as ad
 from duvlg import decoding as dec
 from duvlg.autodiff import Tensor, _accum, _op
-from duvlg.model import N_SPECIALS, SPECIALS, decode_forward_batch
+from duvlg.model import SPECIALS, decode_forward_batch
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -31,20 +31,6 @@ def softmax_rows(a: Tensor) -> Tensor:
         _accum(a, (g - dot) * out_vals)
 
     return _op(out_vals, (a,), bw)
-
-
-def embed_unified(model, ids: np.ndarray) -> Tensor:
-    """The decoder input embedding as two masked gathers: every position
-    gathers from both tables (id 0 where the id is the other table's) and
-    the wrong one is multiplied by exactly 0.  ``ids`` is 1-D."""
-    split = N_SPECIALS + model.cfg.text_vocab
-    is_vis = ids >= split
-    text_ids = np.where(is_vis, 0, ids)
-    vis_ids = np.where(is_vis, ids - split, 0)
-    m = is_vis.astype(np.float64).reshape(-1, 1)
-    text_part = ad.mul(ad.gather_rows(model.text_embed, text_ids), Tensor(1.0 - m))
-    vis_part = ad.mul(ad.gather_rows(model.visual_embed_dec, vis_ids), Tensor(m))
-    return ad.add(text_part, vis_part)
 
 
 def step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids, temperature):

@@ -266,7 +266,7 @@ def test_all_ops_gradcheck_randomized(seed):
     below = Tensor(rng.uniform(-1, 1, (3, 6)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
     ids = rng.integers(0, 5, 4)
-    stacked_ids = np.array([6, 1, 7, 1])  # both tables, one row twice
+    pair_ids = np.array([[2, 1], [0, 1]])  # 2-D ids, one row twice
     tgt = rng.integers(0, 3, 6)
     mask = np.where(rng.uniform(size=(2, 1, 2, 2)) < 0.3, -np.inf, 0.0)
     mask[..., 0] = 0.0  # every query keeps a key
@@ -274,7 +274,8 @@ def test_all_ops_gradcheck_randomized(seed):
     c = Tensor(rng.uniform(-0.5, 0.5, 3), requires_grad=True)
 
     def loss():
-        rows = ad.add(ad.gather_rows(table, ids), ad.gather_stacked(table, below, stacked_ids))
+        pairs = ad.reshape(ad.gather_rows(below, pair_ids), (4, 6))
+        rows = ad.add(ad.gather_rows(table, ids), pairs)
         h = ad.layer_norm(ad.add(x, rows), g, b)
         h = ad.gelu(h)
         h = reference.softmax_rows(h)

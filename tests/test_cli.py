@@ -88,7 +88,7 @@ def test_pretrain_non_finite_gradient_fails_in_one_line(tmp_path, data_file, cap
     adam_step = op.adam_step
 
     def poison_then_step(model, state):
-        model.text_embed.grad[0, 0] = np.inf
+        model.embed.grad[0, 0] = np.inf
         return adam_step(model, state)
 
     monkeypatch.setattr("duvlg.optim.adam_step", poison_then_step)
@@ -97,7 +97,7 @@ def test_pretrain_non_finite_gradient_fails_in_one_line(tmp_path, data_file, cap
         ["pretrain", "--data", str(data_file), "--steps", "3",
          "--out", str(ckpt)] + SMALL)
     assert rc == 1
-    _one_error_line(capsys, "non-finite gradient in 'text_embed' at step 0")
+    _one_error_line(capsys, "non-finite gradient in 'embed' at step 0")
     assert not ckpt.exists()
     assert [str(w.message) for w in caught] == []
 
@@ -109,7 +109,7 @@ def test_pretrain_refuses_non_finite_checkpoint(tmp_path, data_file, capsys, mon
 
     def pretrain_then_poison(dataset, model, *args, **kwargs):
         out = pretrain(dataset, model, *args, **kwargs)
-        model.text_embed.values[0, 0] = np.nan
+        model.embed.values[0, 0] = np.nan
         return out
 
     monkeypatch.setattr("duvlg.cli.op.pretrain", pretrain_then_poison)
@@ -296,6 +296,19 @@ def test_bad_checkpoint_header_fails_in_one_line(tmp_path, data_file, capsys, ed
     rc = cli_dispatch(["eval", "--ckpt", str(bad), "--data", str(data_file)])
     assert rc == 1
     _one_error_line(capsys, text)
+
+
+def test_resume_refuses_out_of_range_step_count(tmp_path, data_file, capsys, edit_header,
+                                                small_ckpt):
+    # a negative step count would run Adam's bias correction at that step
+    bad, out = tmp_path / "bad.ckpt", tmp_path / "out.ckpt"
+    edit_header(small_ckpt, bad, lambda h: h["optim"].update(step_count=-3))
+    capsys.readouterr()
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1", "--resume", str(bad),
+                       "--out", str(out)])
+    assert rc == 1
+    _one_error_line(capsys, "header 'optim.step_count' must be an integer >= 0, got -3")
+    assert not out.exists()
 
 
 def test_gen_data_writes_records(data_file):

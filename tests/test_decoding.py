@@ -393,7 +393,7 @@ def test_generate_image_protocol(gen_world):
     seqs = dec.generate_image_tokens(model, examples[0].caption, cfg,
                                      np.random.default_rng(0), n_patches=16)
     assert len(seqs) == 16
-    split = N_SPECIALS + model.cfg.text_vocab
+    split = model.cfg.first_visual_id
     for seq in seqs:
         assert seq[0] == SPECIALS.boi and seq[-1] == SPECIALS.eoi
         body = seq[1:-1]
@@ -491,10 +491,10 @@ def _never_pick(*_args):
 def test_non_finite_logprobs_fail_before_any_pick(gen_world, monkeypatch, strategy, modality):
     model, vocab, examples = gen_world
     # one NaN in the last row of the head block this modality decodes into
-    table = model.text_embed if modality == "text" else model.visual_embed_dec
-    poisoned = table.values.copy()
-    poisoned[-1, 0] = np.nan
-    monkeypatch.setattr(table, "values", poisoned)
+    row = (model.cfg.first_visual_id if modality == "text" else model.cfg.head_size) - 1
+    poisoned = model.embed.values.copy()
+    poisoned[row, 0] = np.nan
+    monkeypatch.setattr(model.embed, "values", poisoned)
     monkeypatch.setattr(dec, "_pick", _never_pick)
     cfg = DecodeConfig(strategy=strategy, modality=modality, max_len=4, n_samples=3)
     with pytest.raises(ValueError, match="log-probabilities are not all finite"):
@@ -606,7 +606,7 @@ def test_rerank_empty_errors(gen_world):
 def test_caption_image_modality(gen_world):
     model, vocab, examples = gen_world
     tokens = dec.caption_image(model, examples[0].image, DecodeConfig(beam_size=2, max_len=6))
-    split = N_SPECIALS + model.cfg.text_vocab
+    split = model.cfg.first_visual_id
     assert all(N_SPECIALS <= t < split for t in tokens.tolist())
 
 

@@ -22,9 +22,9 @@ from duvlg.config import to_decode_config
 _SETTINGS = ["--set", "seed=7", "--set", "batch_size=4", "--set", "n_samples=4"]
 
 _GOLDEN = {
-    "pretrain_log": "6cc662efe0413800d36474c0174fa34db73fb7690aeece1abc60ab92dd9fd79e",
-    "pretrain_ckpt": "ad788c7fe6419e21ca2e0f0810f55bc7a8e735b73a7fd6b057eb3b0159dc103e",
-    "finetune_log": "f3cfffee3f6a72643dafd9313ee8d50a3ab2dca8291b3b1d1e35959c6118d5b0",
+    "pretrain_log": "2103f1cbe1d2ab7965f78036aeeae91766ae9b65e65ca420b513265d18978fbb",
+    "pretrain_ckpt": "5619c76998b153bf70b140526b20985e1b736dd1988cc44fd93d13bc07cc224b",
+    "finetune_log": "92296cf5ba11df6fb5f0f3f6b343b17e10a3bbffbd27c736ccdc2702c5ca33a1",
     "caption_beam": "89e5eb1d11cf87e67f816e4cb325ced7dc33d8adf0cb37547fbf6ddd7beb232c",
     "caption_greedy": "6af1a8776e2340341f968bf6960fc344faca1974dfb595d840a0789e8869c63a",
     "caption_nucleus": "b8ede66e11b8236e76b435c03ef1b80cef7089e8e5355af5f81b4b7f1665f494",

@@ -8,8 +8,6 @@ from duvlg.codec import ImageGrid, PatchFeaturizer
 from duvlg.corruption import PatchMask
 from duvlg.model import SPECIALS, ModelConfig, N_SPECIALS
 
-import reference
-
 
 TINY = ModelConfig(d_model=8, n_layers_enc=1, n_layers_dec=1, n_heads=2, d_ff=16,
                    text_vocab=6, visual_vocab=6, max_text_len=6, max_patches=4, d_feat=4)
@@ -172,65 +170,37 @@ def test_weight_tying_gradient_matches_fd():
         logits = m.decode_forward(model, tgt[:-1], enc)
         return ad.cross_entropy_logits(logits, tgt[1:])
 
-    report = ad.grad_check(loss, model.text_embed)
+    report = ad.grad_check(loss, model.embed)
     assert report.max_rel_error < 1e-4, report
 
 
 def _mixed_ids(seed=0):
-    # every kind of unified id, in an order that interleaves the two tables
+    # every unified id, specials, words and visual tokens interleaved
     rng = np.random.default_rng(seed)
     return rng.permutation(np.concatenate([np.arange(TINY.head_size),
                                            rng.integers(0, TINY.head_size, 20)]))
 
 
-def _embed_grads(embed, ids, head_first):
-    """Forward values and both tables' gradients of ``embed`` under a fixed
-    random cotangent; with ``head_first`` the tied head writes both tables'
-    gradients before the embedding scatters into them, as in training."""
-    model = _tiny_model(2)
-    w = Tensor(np.random.default_rng(1).normal(size=(len(ids), TINY.d_model)))
-    out = embed(model, ids)
-    loss = ad.sum_all(ad.mul(out, w))
-    if head_first:
-        h = ad.reshape(ad.narrow_rows(out, 0, 2), (1, 2, TINY.d_model))
-        loss = ad.add(loss, ad.sum_all(m.head(model, h)))
-    ad.backward(loss)
-    return out.values, model.text_embed.grad, model.visual_embed_dec.grad
-
-
-@pytest.mark.parametrize("head_first", [False, True])
-@pytest.mark.parametrize("ids", ["mixed", "text", "visual"])
-def test_embed_unified_matches_two_masked_gathers(ids, head_first):
-    split = N_SPECIALS + TINY.text_vocab
-    ids = {"mixed": _mixed_ids(), "text": _mixed_ids(1) % split,
-           "visual": split + _mixed_ids(2) % TINY.visual_vocab}[ids]
-    got = _embed_grads(m.embed_unified, ids, head_first)
-    want = _embed_grads(reference.embed_unified, ids, head_first)
-    for g, r in zip(got, want):
-        assert g.tobytes() == r.tobytes() and g.flags.c_contiguous == r.flags.c_contiguous
-
-
-def test_embed_unified_any_id_shape_and_range():
+def test_gather_rows_any_id_shape_and_range():
     model = _tiny_model()
     ids = _mixed_ids()[:12]
-    flat = m.embed_unified(model, ids).values
-    assert np.array_equal(m.embed_unified(model, ids.reshape(3, 4)).values,
+    flat = ad.gather_rows(model.embed, ids).values
+    assert np.array_equal(ad.gather_rows(model.embed, ids.reshape(3, 4)).values,
                           flat.reshape(3, 4, TINY.d_model))
     for bad in (-1, TINY.head_size):
         with pytest.raises(ad.ShapeError, match="out of range"):
-            m.embed_unified(model, np.array([0, bad]))
+            ad.gather_rows(model.embed, np.array([0, bad]))
 
 
-def test_embed_unified_gradcheck():
+def test_gather_rows_gradcheck():
     model = _tiny_model(3)
     ids = _mixed_ids(4).reshape(5, -1)
     w = Tensor(np.random.default_rng(5).normal(size=ids.shape + (TINY.d_model,)))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.gelu(m.embed_unified(model, ids)), w))
+        return ad.sum_all(ad.mul(ad.gelu(ad.gather_rows(model.embed, ids)), w))
 
-    for table in (model.text_embed, model.visual_embed_dec):
-        assert ad.grad_check(loss, table).max_rel_error < 1e-6
+    assert ad.grad_check(loss, model.embed).max_rel_error < 1e-6
 
 
 def test_tying_is_shared_storage():
@@ -239,7 +209,7 @@ def test_tying_is_shared_storage():
     enc_before = m.encode(model, text_ids=np.array([word]))
     logits_before = m.decode_forward(model, [SPECIALS.bos],
                                      m.encode(model, text_ids=_word_ids(0)))
-    model.text_embed.values[word] += 0.5
+    model.embed.values[word] += 0.5
     enc_after = m.encode(model, text_ids=np.array([word]))
     logits_after = m.decode_forward(model, [SPECIALS.bos],
                                     m.encode(model, text_ids=_word_ids(0)))

@@ -114,7 +114,7 @@ def test_commitment_zero_when_rows_match(setup):
     model, batch = _batch(setup, TaskKind.MT_T2I, n=2)
     for feats, vis in zip(batch.clean_features, batch.clean_visual):
         proj = feats.features.values @ model.patch_proj.values
-        model.visual_embed_dec.values[vis] = proj
+        model.embed.values[mdl.visual_to_unified(vis, CFG)] = proj
     assert obj.loss_commitment(batch, model).item() == pytest.approx(0.0, abs=1e-24)
 
 
@@ -124,14 +124,14 @@ def test_commitment_gradient_contract(setup):
     model.zero_grad()
     ad.backward(loss)
     assert np.array_equal(model.patch_proj.grad, np.zeros_like(model.patch_proj.values))
-    in_batch = np.unique(np.concatenate(batch.clean_visual))
-    emb_grad = model.visual_embed_dec.grad
+    in_batch = np.unique(mdl.visual_to_unified(np.concatenate(batch.clean_visual), CFG))
+    emb_grad = model.embed.grad
     assert np.abs(emb_grad[in_batch]).max() > 0
-    out_of_batch = np.setdiff1d(np.arange(CFG.visual_vocab), in_batch)
+    # no other row (text or visual) and no other parameter receives gradient
+    out_of_batch = np.setdiff1d(np.arange(CFG.head_size), in_batch)
     assert np.array_equal(emb_grad[out_of_batch], np.zeros((len(out_of_batch), CFG.d_model)))
-    # no other parameter receives gradient from the commitment loss
     for name, p in model.named_parameters():
-        if name not in ("visual_embed_dec",):
+        if name != "embed":
             assert p.grad is None or not np.abs(p.grad).any(), name
 
 
@@ -209,7 +209,7 @@ def test_task_loss_gradcheck(setup, kind):
         return obj.total_loss(terms, alpha=0.05, beta=1.0)[0]
 
     # the attention op's q and k backward feeds wq and wk directly
-    for name in ("visual_embed_dec", "enc.0.attn.wq", "enc.0.attn.wk", "dec.0.self.wq",
+    for name in ("embed", "enc.0.attn.wq", "enc.0.attn.wk", "dec.0.self.wq",
                  "dec.0.self.wk", "dec.0.cross.wk", "dec.0.cross.wv", "dec.0.ffn.w1"):
         report = ad.grad_check(loss, model.params[name])
         assert report.max_rel_error < 1e-4, (name, report)
@@ -235,13 +235,25 @@ def test_batched_nll_matches_per_example_loop(setup, kind):
     assert batched == pytest.approx(total / n_pos, rel=1e-10)
 
 
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_parameter_gradients_are_c_contiguous(setup, kind):
+    # the tied head writes the table's gradient first, through a transpose;
+    # as one parameter, the table's gradient keeps the table's own layout
+    model, batch = _batch(setup, kind)
+    model.zero_grad()
+    ad.backward(obj.total_loss(obj.task_terms(batch, model), alpha=0.05, beta=1.0)[0])
+    assert model.embed.grad is not None
+    for name, p in model.named_parameters():  # an unused parameter has no gradient
+        assert p.grad is None or p.grad.flags.c_contiguous, name
+
+
 def test_batched_commitment_matches_loop(setup):
     model, batch = _batch(setup, TaskKind.MT_T2I, n=3)
     batched = obj.loss_commitment(batch, model).item()
     total, n_pos = 0.0, 0
     for feats, vis in zip(batch.clean_features, batch.clean_visual):
         proj = feats.features.values @ model.patch_proj.values
-        emb = model.visual_embed_dec.values[vis]
+        emb = model.embed.values[mdl.visual_to_unified(vis, CFG)]
         total += ((proj - emb) ** 2).sum()
         n_pos += len(vis)
     assert batched == pytest.approx(total / n_pos, rel=1e-12)

@@ -69,7 +69,7 @@ def test_adam_clip_scales_effective_grads(world):
     norm = adam_step(model, state)
     assert norm == pytest.approx(10.0, rel=1e-12)
     # first moment saw g * 0.1: m = (1 - beta1) * g * 0.1
-    m = state.m["text_embed"]
+    m = state.m["embed"]
     assert np.allclose(m, 0.1 * c * 0.1, rtol=1e-12)
 
 
@@ -130,14 +130,14 @@ def test_make_optimizer_takes_the_phase_lr(task, key):
 
 @pytest.mark.parametrize("kind", list(TaskKind))
 def test_non_finite_loss_fails_before_backward(world, kind):
-    # one NaN in the decoder's visual table reaches every task's logits
+    # one NaN in a visual row of the tied table reaches every task's logits
     _, _, _, examples = world
     model = _model(world)
     cfg = RunConfig(batch_size=2)
     state = op.make_optimizer(cfg)
     batch = obj.build_task_batch(examples[:2], kind, np.random.default_rng(0), model, cfg)
     op._train_step(model, state, batch, cfg, alpha=1.0)  # the moments exist
-    model.visual_embed_dec.values[-1, 0] = np.nan
+    model.embed.values[-1, 0] = np.nan
     params = _snapshot(model)
     m = {name: a.copy() for name, a in state.m.items()}
     v = {name: a.copy() for name, a in state.v.items()}
@@ -276,6 +276,17 @@ def test_evaluate_task_nll_builds_no_graph(world, kind):
         n += weight
     assert got == total / n
     assert all((p.grad == 7.0).all() for p in model.params.values())
+
+
+def test_empty_dataset_is_refused(world):
+    model = _model(world)
+    cfg = RunConfig()
+    rng = np.random.default_rng(0)
+    for run in (lambda: op.pretrain([], model, 1, cfg, rng),
+                lambda: op.finetune([], model, TaskKind.MT_CAPTION, 1, cfg, rng),
+                lambda: op.evaluate_task_nll([], model, TaskKind.MT_CAPTION, cfg)):
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            run()
 
 
 def test_t2i_finetune_includes_commitment(world):

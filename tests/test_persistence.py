@@ -212,6 +212,37 @@ def test_checkpoint_with_retired_dropout_key_loads(tmp_path, edit_header):
         assert pa.values.tobytes() == pb.values.tobytes(), na
 
 
+def test_checkpoint_in_two_table_layout_loads(tmp_path, edit_header):
+    # before the tied embedding was one parameter, it was saved as two
+    # records, text_embed over visual_embed_dec, whose bytes are embed's
+    cfg = _small_cfg()
+    model, _ = build_model(cfg)
+    optim = op.make_optimizer(cfg)
+    op.pretrain(_dataset(cfg, model), model, 2, cfg, np.random.default_rng(0), optim=optim)
+    path, old = tmp_path / "m.ckpt", tmp_path / "old.ckpt"
+    ck.save_checkpoint(path, model, optim, np.random.default_rng(0), 2, cfg)
+    split = model.cfg.first_visual_id
+
+    def two_records(header):
+        records = []
+        for name, shape in header["records"]:
+            if name in ("embed", "adam.m.embed", "adam.v.embed"):
+                pre = name[:-len("embed")]
+                records += [[pre + "text_embed", [split, shape[1]]],
+                            [pre + "visual_embed_dec", [shape[0] - split, shape[1]]]]
+            else:
+                records.append([name, shape])
+        header["records"] = records
+
+    edit_header(path, old, two_records)
+    assert old.read_bytes().count(b'"visual_embed_dec"') == 1
+    loaded = ck.load_checkpoint(old)
+    for name, p in loaded.model.named_parameters():
+        assert p.values.tobytes() == model.params[name].values.tobytes(), name
+        assert loaded.optim.m[name].tobytes() == optim.m[name].tobytes(), name
+        assert loaded.optim.v[name].tobytes() == optim.v[name].tobytes(), name
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: h.pop("config"),
     lambda h: h.pop("step"),
@@ -233,6 +264,13 @@ def test_checkpoint_with_retired_dropout_key_loads(tmp_path, edit_header):
     lambda h: h["records"].__setitem__(0, ["patch_proj", "ab"]),
     lambda h: h.update(rng_state={}),
     lambda h: h.update(rng_state="x"),
+    # out of range: the Adam scalars by RunConfig's rules, and negative or fractional steps
+    lambda h: h["optim"].update(step_count=-3),
+    lambda h: h["optim"].update(step_count=2.5),
+    lambda h: h.update(step=-7),
+    lambda h: h["optim"].update(lr=float("nan")),
+    lambda h: h["optim"].update(beta1=1.5),
+    lambda h: h["optim"].update(eps=-1),
 ])
 def test_checkpoint_header_schema(tmp_path, edit_header, edit):
     path, _, _ = _saved(tmp_path)
