@@ -5,28 +5,31 @@ File layout (all integers little-endian):
     magic   b"DUVLGCKPT"
     version u32 (currently 1)
     hlen    u32, length of the JSON header in bytes
-    header  JSON: run config, step, rng state, optimizer scalars, and the
-            ordered record manifest [[name, shape], ...]
+    header  JSON: run config, step, rng state, {"step_count": n} of the
+            optimizer, and the ordered record manifest [[name, shape], ...]
     data    the records' float64 buffers, little-endian, concatenated in
             manifest order: parameters first, then Adam first/second moments
 
 Loading rebuilds the model from the stored config (the frozen featurizer
 and codebook regenerate from their named seeds) and overwrites every
-parameter buffer byte-for-byte.  Files written while the tied embedding was
-two parameters, ``text_embed`` over ``visual_embed_dec``, still load: the
-two records' bytes, back to back, are those of the one ``embed`` record.
+parameter buffer byte-for-byte.  Adam's settings are the stored config's;
+older headers also stored them under "optim", and those copies are ignored.
+Files written while the tied embedding was two parameters, ``text_embed``
+over ``visual_embed_dec``, still load: the two records' bytes, back to back,
+are those of the one ``embed`` record.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_model, config_dict, config_from_dict
+from .config import RunConfig, build_model, config_dict, config_from_dict
 from .data import TextVocab
 from .model import DuVlgModel
 from .optim import OptimState
@@ -79,10 +82,6 @@ def _restore_rng(path, state: dict) -> np.random.Generator:
 
 
 _HEADER_KEYS = ("config", "step", "rng_state", "optim", "records")
-_OPTIM_KEYS = ("lr", "beta1", "beta2", "eps", "clip_norm", "step_count")
-# the RunConfig key whose range check each stored Adam hyperparameter shares
-_OPTIM_CONFIG_KEY = {"lr": "lr", "beta1": "adam_beta1", "beta2": "adam_beta2",
-                     "eps": "adam_eps", "clip_norm": "clip_norm"}
 
 
 def _is_record(r) -> bool:
@@ -93,25 +92,21 @@ def _is_record(r) -> bool:
 
 def _check_header(path, header):
     """Every field ``load_checkpoint`` reads is present, with the type it needs,
-    and the step counts and Adam hyperparameters are in range."""
+    and the step counts are in range."""
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {missing}")
-    optim = header["optim"]
-    if not isinstance(optim, dict) or any(type(optim.get(k)) not in (int, float)
-                                          for k in _OPTIM_KEYS):
-        raise CheckpointError(f"{path}: header 'optim' needs the scalars {list(_OPTIM_KEYS)}")
-    if not isinstance(header["config"], dict) or type(header["step"]) is not int:
-        raise CheckpointError(f"{path}: header 'config' or 'step' has the wrong type")
-    try:
-        RunConfig(**{key: optim[k] for k, key in _OPTIM_CONFIG_KEY.items()})
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: header 'optim': {exc}") from None
-    for name, count in (("optim.step_count", optim["step_count"]), ("step", header["step"])):
-        if type(count) is not int or count < 0:
-            raise CheckpointError(f"{path}: header {name!r} must be an integer >= 0, got {count}")
+    if not isinstance(header["optim"], dict) or "step_count" not in header["optim"]:
+        raise CheckpointError(f"{path}: header 'optim' lacks 'step_count'")
+    if not isinstance(header["config"], dict):
+        raise CheckpointError(f"{path}: header 'config' is not a JSON object")
+    for name, count in (("optim.step_count", header["optim"]["step_count"]),
+                        ("step", header["step"])):
+        if type(count) is not int or not 0 <= count < 2**63:
+            raise CheckpointError(
+                f"{path}: header {name!r} must be an integer in [0, 2**63), got {count}")
     if not isinstance(header["records"], list) or not all(map(_is_record, header["records"])):
         raise CheckpointError(f"{path}: header 'records' is not a list of [name, shape] pairs")
 
@@ -141,7 +136,7 @@ def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
         "config": config_dict(cfg),
         "step": int(step),
         "rng_state": _rng_state(rng),
-        "optim": {k: getattr(optim, k) for k in _OPTIM_KEYS},
+        "optim": {"step_count": optim.step_count},
         "records": records,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -179,12 +174,12 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     rng = _restore_rng(path, header["rng_state"])
     cfg = config_from_dict(header["config"])
     model, vocab = build_model(cfg)
-    optim = OptimState(**{k: header["optim"][k] for k in _OPTIM_KEYS})
+    optim = OptimState(step_count=header["optim"]["step_count"])
 
     arrays = {}
     for name, shape in header["records"]:
         shape = tuple(shape)
-        nbytes = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
+        nbytes = 8 * math.prod(shape)
         if len(raw) < off + nbytes:
             raise TruncatedCheckpointError(f"{path}: record {name!r} is cut short")
         arrays[name] = np.frombuffer(raw[off:off + nbytes], dtype="<f8").reshape(shape).copy()

@@ -7,7 +7,6 @@ runs whose printed configs and seeds match produce identical artifacts.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -117,14 +116,11 @@ def _open_log(path):
 
 def _cmd_pretrain(args, cfg: RunConfig, loaded) -> int:
     if loaded:
-        model, vocab = loaded.model, loaded.vocab
+        model, vocab, optim = loaded.model, loaded.vocab, loaded.optim
         rng, start_step = loaded.rng, loaded.step
-        # the moments continue; Adam's settings are the printed config's
-        optim = dataclasses.replace(op.make_optimizer(cfg), step_count=loaded.optim.step_count,
-                                    m=loaded.optim.m, v=loaded.optim.v)
     else:
         model, vocab = build_model(cfg)
-        optim = op.make_optimizer(cfg)
+        optim = op.OptimState()
         rng = np.random.default_rng(cfg.seed)
         start_step = 0
     dataset = _load_dataset(args.data, cfg, model, vocab)
@@ -148,7 +144,7 @@ def _cmd_finetune(args, cfg: RunConfig, loaded) -> int:
     task = TaskKind.MT_CAPTION if args.task == "caption" else TaskKind.MT_T2I
     dataset = _load_dataset(args.data, cfg, model, vocab)
     rng = np.random.default_rng(cfg.seed)
-    optim = op.make_optimizer(cfg, task)
+    optim = op.OptimState()
     log_fh, log_fn = _open_log(args.log)
     try:
         op.finetune(dataset, model, task, args.epochs, cfg, rng, optim=optim, log_fn=log_fn)

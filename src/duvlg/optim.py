@@ -15,6 +15,8 @@ from .objectives import (LossBreakdown, TaskKind, build_task_batch, sample_task,
 
 # the config key of each fine-tuning task's learning rate
 _FINETUNE_LR_KEY = {TaskKind.MT_CAPTION: "caption_lr", TaskKind.MT_T2I: "t2i_lr"}
+# evaluate_task_nll's corruption seed and batch size
+_EVAL_SEED, _EVAL_BATCH = 0, 16
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -27,20 +29,16 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class OptimState:
-    """Adam's hyperparameters (from ``make_optimizer`` or a checkpoint) and moments."""
+    """Adam's state; its settings are the ``RunConfig`` each step is given."""
 
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    clip_norm: float
     step_count: int = 0
     m: dict = field(default_factory=dict)  # param name -> first moment
     v: dict = field(default_factory=dict)  # param name -> second moment
 
 
-def adam_step(model: DuVlgModel, state: OptimState) -> float:
-    """Clip the global gradient norm, then apply a bias-corrected Adam update.
+def adam_step(model: DuVlgModel, state: OptimState, cfg: RunConfig, lr: float) -> float:
+    """Clip the global gradient norm to ``cfg.clip_norm``, then apply a
+    bias-corrected Adam update at ``lr`` with ``cfg``'s betas and eps.
 
     Returns the pre-clip global norm.  Parameters whose grad is unset are
     treated as zero-gradient.  A non-finite gradient or global norm (a finite
@@ -62,13 +60,13 @@ def adam_step(model: DuVlgModel, state: OptimState) -> float:
             f"non-finite global gradient norm at step {state.step_count}")
 
     scale = 1.0
-    if state.clip_norm > 0 and norm > state.clip_norm:
-        scale = state.clip_norm / norm
+    if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+        scale = cfg.clip_norm / norm
 
+    beta1, beta2 = cfg.adam_beta1, cfg.adam_beta2
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - beta1**state.step_count
+    bc2 = 1.0 - beta2**state.step_count
     for name, p in model.named_parameters():
         g = grads[name] * scale
         m = state.m.get(name)
@@ -77,11 +75,11 @@ def adam_step(model: DuVlgModel, state: OptimState) -> float:
             state.m[name] = m
             state.v[name] = np.zeros_like(p.values)
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.values -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
     return norm
 
 
@@ -103,14 +101,13 @@ LOG_HEADER = "step\ttask\tl_total\tl_text\tl_image\tl_com\tgrad_norm"
 
 
 def make_optimizer(cfg: RunConfig, task: TaskKind | None = None) -> OptimState:
-    """Fresh Adam state at the lr of pre-training (``task`` None: ``cfg.lr``)
-    or of fine-tuning on ``task`` (``cfg.caption_lr`` or ``cfg.t2i_lr``)."""
-    lr = cfg.lr if task is None else getattr(cfg, _FINETUNE_LR_KEY[task])
-    return OptimState(lr=lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps,
-                      clip_norm=cfg.clip_norm)
+    """``OptimState()``.  Kept only because the benchmark's workloads
+    (perfbench/workloads.py) still call it."""
+    return OptimState()
 
 
-def _train_step(model, optim, batch, cfg: RunConfig, alpha: float) -> tuple[LossBreakdown, float]:
+def _train_step(model, optim, batch, cfg: RunConfig, alpha: float,
+                lr: float) -> tuple[LossBreakdown, float]:
     terms = task_terms(batch, model, use_commitment=cfg.use_commitment)
     loss, breakdown = total_loss(terms, alpha=alpha, beta=cfg.beta)
     # refuse before backward, so the error names the term and nothing moves
@@ -121,7 +118,7 @@ def _train_step(model, optim, batch, cfg: RunConfig, alpha: float) -> tuple[Loss
                                      f"{batch.kind.value!r} at step {optim.step_count}")
     model.zero_grad()
     ad.backward(loss)
-    grad_norm = adam_step(model, optim)
+    grad_norm = adam_step(model, optim, cfg, lr)
     return breakdown, grad_norm
 
 
@@ -135,7 +132,7 @@ def pretrain(dataset, model: DuVlgModel, steps: int, cfg: RunConfig,
     if not dataset:
         raise ValueError("empty dataset")
     if optim is None:
-        optim = make_optimizer(cfg)
+        optim = OptimState()
     records = []
     with ad.no_cyclic_gc():
         for i in range(steps):
@@ -143,7 +140,7 @@ def pretrain(dataset, model: DuVlgModel, steps: int, cfg: RunConfig,
                                allow_text=cfg.use_text_loss)
             idx = rng.integers(0, len(dataset), size=cfg.batch_size)
             batch = build_task_batch([dataset[int(j)] for j in idx], kind, rng, model, cfg)
-            breakdown, grad_norm = _train_step(model, optim, batch, cfg, cfg.alpha)
+            breakdown, grad_norm = _train_step(model, optim, batch, cfg, cfg.alpha, cfg.lr)
             rec = StepRecord(step=start_step + i, task=kind, breakdown=breakdown,
                              grad_norm=grad_norm)
             records.append(rec)
@@ -156,13 +153,14 @@ def finetune(dataset, model: DuVlgModel, task: TaskKind, epochs: int, cfg: RunCo
              rng: np.random.Generator, optim: OptimState | None = None,
              log_fn=None) -> list[StepRecord]:
     """Single-task training; MT_T2I keeps beta * commitment, captioning never
-    touches image-target losses.  A fresh optimizer takes the task's lr."""
+    touches image-target losses.  Every step takes the task's lr."""
     if task not in _FINETUNE_LR_KEY:
         raise ValueError(f"finetune supports modality translation tasks, not {task}")
     if not dataset:
         raise ValueError("empty dataset")
     if optim is None:
-        optim = make_optimizer(cfg, task)
+        optim = OptimState()
+    lr = getattr(cfg, _FINETUNE_LR_KEY[task])
     records = []
     step = 0
     with ad.no_cyclic_gc():
@@ -172,7 +170,7 @@ def finetune(dataset, model: DuVlgModel, task: TaskKind, epochs: int, cfg: RunCo
                 chunk = [dataset[int(j)] for j in order[lo:lo + cfg.batch_size]]
                 batch = build_task_batch(chunk, task, rng, model, cfg)
                 # single-task objective: no cross-modality mixing weight
-                breakdown, grad_norm = _train_step(model, optim, batch, cfg, alpha=1.0)
+                breakdown, grad_norm = _train_step(model, optim, batch, cfg, 1.0, lr)
                 rec = StepRecord(step=step, task=task, breakdown=breakdown, grad_norm=grad_norm)
                 records.append(rec)
                 if log_fn is not None:
@@ -181,17 +179,16 @@ def finetune(dataset, model: DuVlgModel, task: TaskKind, epochs: int, cfg: RunCo
     return records
 
 
-def evaluate_task_nll(dataset, model: DuVlgModel, kind: TaskKind, cfg: RunConfig,
-                      seed: int = 0, batch_size: int = 16) -> float:
-    """Deterministic held-out NLL for one task (fixed corruption seed),
-    computed without building autograd graphs."""
+def evaluate_task_nll(dataset, model: DuVlgModel, kind: TaskKind, cfg: RunConfig) -> float:
+    """Deterministic held-out NLL for one task (corruption seed ``_EVAL_SEED``,
+    batches of ``_EVAL_BATCH``), computed without building autograd graphs."""
     if not dataset:
         raise ValueError("empty dataset")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_EVAL_SEED)
     total, n = 0.0, 0
     with ad.no_grad():
-        for lo in range(0, len(dataset), batch_size):
-            chunk = dataset[lo:lo + batch_size]
+        for lo in range(0, len(dataset), _EVAL_BATCH):
+            chunk = dataset[lo:lo + _EVAL_BATCH]
             batch = build_task_batch(chunk, kind, rng, model, cfg)
             weight = sum(len(t) - 1 for t in batch.targets)
             total += task_nll(batch, model).item() * weight

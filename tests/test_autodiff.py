@@ -39,8 +39,7 @@ def test_matmul_gradient_matches_finite_differences():
     a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
     for wrt in (a, b):
-        report = ad.grad_check(lambda: ad.matmul(a, b).sum(), wrt)
-        assert report.max_rel_error < 1e-6
+        assert ad.grad_check(lambda: ad.matmul(a, b).sum(), wrt) < 1e-6
 
 
 def test_softmax_uniform():
@@ -82,7 +81,7 @@ def test_layer_norm_gradient():
         return ad.mul(ad.layer_norm(x, g, b), w).sum()
 
     for wrt in (x, g, b):
-        assert ad.grad_check(loss, wrt).max_rel_error < 1e-5
+        assert ad.grad_check(loss, wrt) < 1e-5
 
 
 def _mean_formula_layer_norm(a, gain, bias, eps=1e-5):
@@ -252,7 +251,7 @@ def test_two_layer_network_gradcheck():
         return ad.cross_entropy_logits(ad.matmul(h, w2), tgt)
 
     for wrt in (w1, b1, w2):
-        assert ad.grad_check(loss, wrt).max_rel_error < 1e-4
+        assert ad.grad_check(loss, wrt) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -293,8 +292,8 @@ def test_all_ops_gradcheck_randomized(seed):
         return ad.add(ce, ad.mul(se, Tensor(0.5)))
 
     for wrt in (x, g, b, table, below, w, v, c):
-        report = ad.grad_check(loss, wrt)
-        assert report.max_rel_error < 1e-4, (wrt.shape, report)
+        error = ad.grad_check(loss, wrt)
+        assert error < 1e-4, (wrt.shape, error)
 
 
 def test_backward_deterministic_bitwise():
@@ -321,7 +320,7 @@ def test_broadcast_add_and_mul_gradients():
         return ad.add(ad.mul(a, b), c).sum()
 
     for wrt in (a, b, c):
-        assert ad.grad_check(loss, wrt).max_rel_error < 1e-6
+        assert ad.grad_check(loss, wrt) < 1e-6
 
 
 def test_repeated_backward_reproduces():
@@ -547,7 +546,7 @@ def test_linear_gradcheck_and_shapes():
         return ad.cross_entropy_logits(ad.reshape(ad.linear(x, w, b), (6, 5)), tgt)
 
     for wrt in (x, w, b):
-        assert ad.grad_check(loss, wrt).max_rel_error < 1e-4
+        assert ad.grad_check(loss, wrt) < 1e-4
     for bad_x, bad_w in (((4,), (4, 5)), ((3, 5), (4, 5)), ((3, 4), (2, 4, 5))):
         with pytest.raises(ad.ShapeError):
             ad.linear(Tensor(np.zeros(bad_x)), Tensor(np.zeros(bad_w)), b)

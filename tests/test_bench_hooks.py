@@ -89,10 +89,12 @@ def test_one_request_of_every_workload_passes_its_check(workloads, tmp_path):
 
 
 # sha256 of the workloads' outputs at seed 0: a caption round's 16 beam-5
-# captions (the workload's digest lines), and the first imagine request's
-# token sequences, rerank index and scores in hex
+# captions (the workload's digest lines), the first imagine request's
+# token sequences, rerank index and scores in hex, and the log lines of a
+# pretrain round's first 4 steps
 _PINNED_CAPTION_ROUND = "ecb05edae9cccc322c2558c1aca0a5f0650f354fe91042ba349e79f62c843ee8"
 _PINNED_IMAGINE_REQUEST = "d42d8587f6e913a4d6078753e554619de04d38e3f0dc72cc5a6a1ee6131045a2"
+_PINNED_PRETRAIN_STEPS = "51e386053ef0cf12ccad0766bed84070e4813464eaba41d3dc5d818d724a32b2"
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +125,12 @@ def test_imagine_request_outputs_pinned(workloads, decode_setup):
         w.close()
     scores = " ".join(float(s).hex() for s in out[3])
     assert _sha(f"{w.digest_line(out)}|{scores}") == _PINNED_IMAGINE_REQUEST
+
+
+def test_pretrain_steps_pinned(workloads, tmp_path):
+    # the round resumes from the reloaded checkpoint's Adam state, whose
+    # moments reset() zeroes in place; a set-up of its own, since it trains
+    w = workloads.Pretrain(workloads.set_up(0, 0.0, str(tmp_path)))
+    w.reset()
+    lines = [w.digest_line(w.op(step)) for step in w.items[:4]]
+    assert _sha("\n".join(lines)) == _PINNED_PRETRAIN_STEPS

@@ -87,9 +87,9 @@ def test_pretrain_non_finite_gradient_fails_in_one_line(tmp_path, data_file, cap
     # is poisoned before Adam reads it
     adam_step = op.adam_step
 
-    def poison_then_step(model, state):
+    def poison_then_step(model, state, cfg, lr):
         model.embed.grad[0, 0] = np.inf
-        return adam_step(model, state)
+        return adam_step(model, state, cfg, lr)
 
     monkeypatch.setattr("duvlg.optim.adam_step", poison_then_step)
     ckpt = tmp_path / "nan.ckpt"
@@ -307,7 +307,28 @@ def test_resume_refuses_out_of_range_step_count(tmp_path, data_file, capsys, edi
     rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1", "--resume", str(bad),
                        "--out", str(out)])
     assert rc == 1
-    _one_error_line(capsys, "header 'optim.step_count' must be an integer >= 0, got -3")
+    _one_error_line(capsys, "header 'optim.step_count' must be an integer in [0, 2**63), got -3")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, count", [("optim.step_count", 2**63), ("optim.step_count", 10**400),
+                                        ("step", 2**63)])
+def test_resume_refuses_a_step_count_beyond_int64(tmp_path, data_file, capsys, edit_header,
+                                                  monkeypatch, small_ckpt, key, count):
+    # such a count used to load; resuming then ran a whole forward and backward
+    # pass and died in Adam's beta1**t with an OverflowError traceback
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("trained despite an out-of-range step count")
+
+    monkeypatch.setattr("duvlg.cli.op.pretrain", must_not_run)
+    bad, out = tmp_path / "bad.ckpt", tmp_path / "out.ckpt"
+    edit_header(small_ckpt, bad, lambda h: h["optim"].update(step_count=count)
+                if key == "optim.step_count" else h.update(step=count))
+    capsys.readouterr()
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1", "--resume", str(bad),
+                       "--out", str(out)])
+    assert rc == 1
+    _one_error_line(capsys, f"header {key!r} must be an integer in [0, 2**63)")
     assert not out.exists()
 
 
@@ -406,8 +427,9 @@ def test_finetune_caption_and_eval(tmp_path, data_file, capsys):
 @pytest.mark.parametrize("command, key", [("pretrain", "lr"), ("resume", "lr"),
                                           ("caption", "caption_lr"), ("t2i", "t2i_lr")])
 def test_training_lr_is_the_printed_and_stored_config_value(tmp_path, data_file, capsys,
-                                                           command, key):
-    # resuming used to print and store the new lr but train at the old one
+                                                           monkeypatch, command, key):
+    # resuming used to print and store the new lr but train at the old one;
+    # every Adam step must get the printed config and its phase's lr
     base, out = tmp_path / "base.ckpt", tmp_path / "out.ckpt"
     lr = ["--set", f"{key}=0.00123"]
     if command == "pretrain":
@@ -420,11 +442,20 @@ def test_training_lr_is_the_printed_and_stored_config_value(tmp_path, data_file,
             if command == "resume" else ["finetune", "--data", str(data_file), "--ckpt",
                                          str(base), "--task", command, "--epochs", "1"]
         argv += ["--out", str(out)] + lr
+    calls = []
+    adam_step = op.adam_step
+
+    def recording_step(model, state, cfg, step_lr):
+        calls.append((cfg, step_lr))
+        return adam_step(model, state, cfg, step_lr)
+
+    monkeypatch.setattr("duvlg.optim.adam_step", recording_step)
     capsys.readouterr()
     assert cli_dispatch(argv) == 0
     assert f"\n{key}=0.00123\n" in capsys.readouterr().out
-    loaded = ck.load_checkpoint(out)
-    assert loaded.optim.lr == getattr(loaded.config, key) == 0.00123
+    stored = ck.load_checkpoint(out).config
+    assert getattr(stored, key) == 0.00123
+    assert calls and calls == [(stored, 0.00123)] * len(calls)
 
 
 @pytest.mark.parametrize("argv", [

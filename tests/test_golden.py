@@ -23,7 +23,7 @@ _SETTINGS = ["--set", "seed=7", "--set", "batch_size=4", "--set", "n_samples=4"]
 
 _GOLDEN = {
     "pretrain_log": "2103f1cbe1d2ab7965f78036aeeae91766ae9b65e65ca420b513265d18978fbb",
-    "pretrain_ckpt": "5619c76998b153bf70b140526b20985e1b736dd1988cc44fd93d13bc07cc224b",
+    "pretrain_ckpt": "10a1cfb2fe0730f2634cce7c678ba9925a8f0983c06f0e8f05eacc1a009b7c6f",
     "finetune_log": "92296cf5ba11df6fb5f0f3f6b343b17e10a3bbffbd27c736ccdc2702c5ca33a1",
     "caption_beam": "89e5eb1d11cf87e67f816e4cb325ced7dc33d8adf0cb37547fbf6ddd7beb232c",
     "caption_greedy": "6af1a8776e2340341f968bf6960fc344faca1974dfb595d840a0789e8869c63a",

@@ -170,8 +170,8 @@ def test_weight_tying_gradient_matches_fd():
         logits = m.decode_forward(model, tgt[:-1], enc)
         return ad.cross_entropy_logits(logits, tgt[1:])
 
-    report = ad.grad_check(loss, model.embed)
-    assert report.max_rel_error < 1e-4, report
+    error = ad.grad_check(loss, model.embed)
+    assert error < 1e-4, error
 
 
 def _mixed_ids(seed=0):
@@ -200,7 +200,7 @@ def test_gather_rows_gradcheck():
     def loss():
         return ad.sum_all(ad.mul(ad.gelu(ad.gather_rows(model.embed, ids)), w))
 
-    assert ad.grad_check(loss, model.embed).max_rel_error < 1e-6
+    assert ad.grad_check(loss, model.embed) < 1e-6
 
 
 def test_tying_is_shared_storage():

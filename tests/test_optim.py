@@ -42,7 +42,7 @@ def test_adam_zero_grads_no_change(world):
     model = _model(world)
     before = _snapshot(model)
     model.zero_grad()
-    adam_step(model, op.make_optimizer(RunConfig()))
+    adam_step(model, op.OptimState(), RunConfig(), 1e-3)
     for name, p in model.named_parameters():
         assert np.array_equal(p.values, before[name])
 
@@ -50,10 +50,9 @@ def test_adam_zero_grads_no_change(world):
 def test_adam_first_step_sign_property(world):
     model = _model(world)
     before = _snapshot(model)
-    state = op.make_optimizer(RunConfig(lr=1e-3, clip_norm=0.0))  # 0 disables clipping
     for _, p in model.named_parameters():
         p.grad = np.full_like(p.values, 0.5)
-    adam_step(model, state)
+    adam_step(model, op.OptimState(), RunConfig(clip_norm=0.0), 1e-3)  # 0 disables clipping
     for name, p in model.named_parameters():
         delta = p.values - before[name]
         assert np.allclose(delta, -1e-3, rtol=1e-6)
@@ -61,12 +60,12 @@ def test_adam_first_step_sign_property(world):
 
 def test_adam_clip_scales_effective_grads(world):
     model = _model(world)
-    state = op.make_optimizer(RunConfig(clip_norm=1.0))
+    state = op.OptimState()
     n_total = sum(p.size for _, p in model.named_parameters())
     c = 10.0 / np.sqrt(n_total)  # global norm exactly 10
     for _, p in model.named_parameters():
         p.grad = np.full_like(p.values, c)
-    norm = adam_step(model, state)
+    norm = adam_step(model, state, RunConfig(clip_norm=1.0), 1e-3)
     assert norm == pytest.approx(10.0, rel=1e-12)
     # first moment saw g * 0.1: m = (1 - beta1) * g * 0.1
     m = state.m["embed"]
@@ -76,14 +75,14 @@ def test_adam_clip_scales_effective_grads(world):
 def test_adam_post_clip_norm_bounded(world):
     model = _model(world)
     rng = np.random.default_rng(0)
-    state = op.make_optimizer(RunConfig(clip_norm=1.0))
+    cfg = RunConfig(clip_norm=1.0)
     for _, p in model.named_parameters():
         p.grad = rng.uniform(-3, 3, p.values.shape)
     pre = np.sqrt(sum(float((p.grad ** 2).sum()) for _, p in model.named_parameters()))
-    scale = min(1.0, state.clip_norm / pre)
+    scale = min(1.0, cfg.clip_norm / pre)
     post = pre * scale
-    assert post <= state.clip_norm + 1e-12
-    adam_step(model, state)
+    assert post <= cfg.clip_norm + 1e-12
+    adam_step(model, op.OptimState(), cfg, cfg.lr)
 
 
 def test_adam_rejects_non_finite(world):
@@ -92,24 +91,24 @@ def test_adam_rejects_non_finite(world):
         p.grad = np.zeros_like(p.values)
     model.params["patch_proj"].grad[0, 0] = np.nan
     with pytest.raises(op.NonFiniteGradientError, match="patch_proj"):
-        adam_step(model, op.make_optimizer(RunConfig()))
+        adam_step(model, op.OptimState(), RunConfig(), 1e-3)
 
 
 def test_adam_overflowing_norm_changes_nothing(world):
     # 1e200 is finite but its square is not; with clipping on, the inf norm
     # used to scale every gradient to zero and step silently
     model = _model(world)
-    state = op.make_optimizer(RunConfig())
+    state, cfg = op.OptimState(), RunConfig()
     for _, p in model.named_parameters():
         p.grad = np.full_like(p.values, 0.5)
-    adam_step(model, state)  # the moments exist
+    adam_step(model, state, cfg, cfg.lr)  # the moments exist
     model.params["patch_proj"].grad[0, 0] = 1e200
     params = _snapshot(model)
     m = {name: a.copy() for name, a in state.m.items()}
     v = {name: a.copy() for name, a in state.v.items()}
     with np.errstate(over="ignore"), pytest.raises(
             op.NonFiniteGradientError, match="non-finite global gradient norm at step 1$"):
-        adam_step(model, state)
+        adam_step(model, state, cfg, cfg.lr)
     assert state.step_count == 1
     for name, p in model.named_parameters():
         assert np.array_equal(p.values, params[name]), name
@@ -117,15 +116,32 @@ def test_adam_overflowing_norm_changes_nothing(world):
         assert np.array_equal(state.v[name], v[name]), name
 
 
-@pytest.mark.parametrize("task, key", [(None, "lr"), (TaskKind.MT_CAPTION, "caption_lr"),
-                                       (TaskKind.MT_T2I, "t2i_lr")])
-def test_make_optimizer_takes_the_phase_lr(task, key):
-    cfg = RunConfig(lr=1e-3, caption_lr=2e-3, t2i_lr=3e-3, adam_beta1=0.8, adam_beta2=0.99,
-                    adam_eps=1e-6, clip_norm=2.0)
-    state = op.make_optimizer(cfg, task)
-    assert state.lr == getattr(cfg, key)
-    assert (state.beta1, state.beta2, state.eps, state.clip_norm) == (0.8, 0.99, 1e-6, 2.0)
-    assert state.step_count == 0 and state.m == state.v == {}
+def test_adam_reads_its_settings_from_the_config(world):
+    # two steps by hand: clip to cfg.clip_norm, then cfg's betas and eps at the given lr
+    model = _model(world)
+    params = _snapshot(model)
+    cfg = RunConfig(adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-2, clip_norm=2.0)
+    state = op.OptimState()
+    rng = np.random.default_rng(1)
+    m = dict.fromkeys(params, 0.0)
+    v = dict(m)
+    for t in (1, 2):
+        grads = {name: rng.uniform(-1, 1, a.shape) for name, a in params.items()}
+        for name, p in model.named_parameters():
+            p.grad = grads[name].copy()
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        assert adam_step(model, state, cfg, 0.5) == pytest.approx(norm, rel=1e-12)
+        for name, g in grads.items():
+            g = g * (2.0 / norm)
+            m[name] = 0.8 * m[name] + 0.2 * g
+            v[name] = 0.99 * v[name] + 0.01 * g * g
+            params[name] = params[name] - 0.5 * (m[name] / (1 - 0.8**t)) / (
+                np.sqrt(v[name] / (1 - 0.99**t)) + 1e-2)
+    assert state.step_count == 2
+    for name, p in model.named_parameters():
+        assert np.allclose(p.values, params[name], rtol=0, atol=1e-12), name
+        assert np.allclose(state.m[name], m[name], rtol=1e-12, atol=0), name
+        assert np.allclose(state.v[name], v[name], rtol=1e-12, atol=0), name
 
 
 @pytest.mark.parametrize("kind", list(TaskKind))
@@ -134,9 +150,9 @@ def test_non_finite_loss_fails_before_backward(world, kind):
     _, _, _, examples = world
     model = _model(world)
     cfg = RunConfig(batch_size=2)
-    state = op.make_optimizer(cfg)
+    state = op.OptimState()
     batch = obj.build_task_batch(examples[:2], kind, np.random.default_rng(0), model, cfg)
-    op._train_step(model, state, batch, cfg, alpha=1.0)  # the moments exist
+    op._train_step(model, state, batch, cfg, 1.0, cfg.lr)  # the moments exist
     model.embed.values[-1, 0] = np.nan
     params = _snapshot(model)
     m = {name: a.copy() for name, a in state.m.items()}
@@ -144,7 +160,7 @@ def test_non_finite_loss_fails_before_backward(world, kind):
     with pytest.raises(op.NonFiniteLossError,
                        match=rf"non-finite loss {obj.TERM_NAME[kind]}=nan in task "
                              rf"'{kind.value}' at step 1$"):
-        op._train_step(model, state, batch, cfg, alpha=1.0)
+        op._train_step(model, state, batch, cfg, 1.0, cfg.lr)
     assert state.step_count == 1
     for name, p in model.named_parameters():
         assert np.array_equal(p.values, params[name], equal_nan=True), name
@@ -200,7 +216,7 @@ def test_single_batch_overfit_decreases(world, kind):
     model = _model(world, seed=7)
     batch = build_task_batch(examples[:2], kind, np.random.default_rng(0),
                              model, RunConfig())
-    state = op.make_optimizer(RunConfig(lr=3e-3))
+    state, cfg = op.OptimState(), RunConfig(lr=3e-3)
     losses = []
     for _ in range(50):
         terms = task_terms(batch, model)
@@ -208,7 +224,7 @@ def test_single_batch_overfit_decreases(world, kind):
         losses.append(loss.item())
         model.zero_grad()
         ad.backward(loss)
-        adam_step(model, state)
+        adam_step(model, state, cfg, cfg.lr)
     assert losses[-1] < losses[0]
     assert losses[-1] < 0.5 * losses[0]
 
@@ -256,15 +272,16 @@ def test_finetune_improves_val_loss(world):
 
 
 @pytest.mark.parametrize("kind", list(TaskKind))
-def test_evaluate_task_nll_builds_no_graph(world, kind):
+def test_evaluate_task_nll_builds_no_graph(world, monkeypatch, kind):
     # same value as the graph-building loss, to the last bit, and no
-    # parameter's .grad is touched
+    # parameter's .grad is touched; batches of 3 split the 8 examples unevenly
+    monkeypatch.setattr(op, "_EVAL_BATCH", 3)
     _, _, _, examples = world
     model = _model(world, seed=3)
     cfg = RunConfig()
     for p in model.params.values():
         p.grad = np.full(p.values.shape, 7.0)
-    got = op.evaluate_task_nll(examples, model, kind, cfg, batch_size=3)
+    got = op.evaluate_task_nll(examples, model, kind, cfg)
     rng = np.random.default_rng(0)
     total, n = 0.0, 0
     for lo in range(0, len(examples), 3):
@@ -310,13 +327,13 @@ def test_training_step_reuses_its_memory():
     cfg = RunConfig()
     model, vocab = build_model(cfg)
     examples = gen_dataset(cfg.batch_size, 0, model.codebook, cfg.grid_dims(), vocab)
-    state = op.make_optimizer(cfg)
+    state = op.OptimState()
     batch = obj.build_task_batch(examples, TaskKind.DAE_IMAGE, np.random.default_rng(0),
                                  model, cfg)
     for _ in range(2):
-        op._train_step(model, state, batch, cfg, cfg.alpha)
+        op._train_step(model, state, batch, cfg, cfg.alpha, cfg.lr)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        op._train_step(model, state, batch, cfg, cfg.alpha)
+        op._train_step(model, state, batch, cfg, cfg.alpha, cfg.lr)
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
     assert faults < 500, faults
