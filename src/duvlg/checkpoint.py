@@ -85,9 +85,10 @@ _HEADER_KEYS = ("config", "step", "rng_state", "optim", "records")
 
 
 def _is_record(r) -> bool:
-    """A manifest entry [name, shape] with a non-negative integer shape."""
+    """A manifest entry [name, shape] whose axes are positive integers (no
+    parameter or moment has an empty axis; a scalar's shape is [])."""
     return (isinstance(r, list) and len(r) == 2 and isinstance(r[0], str)
-            and isinstance(r[1], list) and all(type(n) is int and n >= 0 for n in r[1]))
+            and isinstance(r[1], list) and all(type(n) is int and n >= 1 for n in r[1]))
 
 
 def _check_header(path, header):
@@ -166,7 +167,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise TruncatedCheckpointError(f"{path}: truncated JSON header")
     try:
         header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int past the digit limit
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
     off += hlen
 

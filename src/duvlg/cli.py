@@ -18,7 +18,7 @@ from . import optim as op
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .codec import VisualCodebook, load_image, save_image
 from .config import (ConfigError, RunConfig, apply_overrides, build_model,
-                     format_config, load_config, to_decode_config)
+                     format_config, load_config)
 from .gradcheck import run_gradient_audit
 from .objectives import TaskKind
 
@@ -161,7 +161,7 @@ def _cmd_caption(args, cfg: RunConfig, loaded) -> int:
     if (image.height, image.width) != (cfg.image_size, cfg.image_size):
         raise ValueError(f"{args.image}: image is {image.height}x{image.width}, the model reads "
                          f"{cfg.image_size}x{cfg.image_size}")
-    tokens = dec.caption_image(loaded.model, image, to_decode_config(cfg, "beam", "text"))
+    tokens = dec.caption_image(loaded.model, image, cfg)
     print(dat.decode_text(tokens, loaded.vocab))
     return 0
 
@@ -174,9 +174,8 @@ def _cmd_imagine(args, cfg: RunConfig, loaded) -> int:
     if caption.size > cfg.max_text_len:
         raise ConfigError(f"--caption has {caption.size} words; the model reads at most "
                           f"max_text_len {cfg.max_text_len}")
-    decode_cfg = to_decode_config(cfg, "nucleus", "image")
     rng = np.random.default_rng(cfg.seed)
-    images = dec.generate_image(model, caption, decode_cfg, rng, cfg.grid_dims())
+    images = dec.generate_image(model, caption, cfg, rng, cfg.grid_dims())
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -192,8 +191,7 @@ def _cmd_imagine(args, cfg: RunConfig, loaded) -> int:
 
 def _cmd_eval(args, cfg: RunConfig, loaded) -> int:
     model, vocab = loaded.model, loaded.vocab
-    decode_cfg = to_decode_config(cfg, "beam", "text")
-    dec.check_text_len(model, decode_cfg)
+    dec.check_text_len(model, cfg)
     dataset = _load_dataset(args.data, cfg, model, vocab)
     train, val = dat.split_dataset(dataset, cfg.val_frac)
     subset = {"train": train, "val": val, "all": dataset}[args.split]
@@ -203,7 +201,7 @@ def _cmd_eval(args, cfg: RunConfig, loaded) -> int:
     image_nll = op.evaluate_task_nll(subset, model, TaskKind.MT_T2I, cfg)
     bleus, exact = [], 0
     for ex in subset:
-        hyp = dec.caption_image(model, ex.image, decode_cfg)
+        hyp = dec.caption_image(model, ex.image, cfg)
         bleus.append(dat.bleu4(hyp, [ex.caption.tolist()]))
         exact += int(hyp.tolist() == ex.caption.tolist())
     print(f"examples\t{len(subset)}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .codec import PatchFeaturizer, VisualCodebook
 from .corruption import check_block_shape
 from .data import TextVocab
-from .decoding import DecodeConfig
 from .model import DuVlgModel, ModelConfig, init_model
 
 
@@ -231,11 +230,11 @@ def to_train_settings(cfg: RunConfig) -> RunConfig:
 
 
 def to_decode_config(cfg: RunConfig, strategy: str = "beam",
-                     modality: str = "text") -> DecodeConfig:
-    return DecodeConfig(strategy=strategy, beam_size=cfg.beam_size, top_p=cfg.top_p,
-                        k=cfg.top_k, n_samples=cfg.n_samples, max_len=cfg.max_decode_len,
-                        temperature=cfg.temperature, modality=modality,
-                        length_norm=cfg.length_norm)
+                     modality: str = "text") -> RunConfig:
+    """``cfg`` itself: decoding reads the RunConfig directly and takes the
+    strategy as an argument.  Kept only because the benchmark's workloads
+    (perfbench/workloads.py) still call it."""
+    return cfg
 
 
 def build_model(cfg: RunConfig) -> tuple[DuVlgModel, TextVocab]:

@@ -43,25 +43,23 @@ def step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids, temperatu
     return rows - np.log(np.exp(rows).sum(axis=1, keepdims=True))
 
 
-def beam_search(model, enc_states, cfg):
-    """The tuple-sort beam that ``decoding.beam_search`` replaced: every live
-    hypothesis a (tokens, total) tuple, the pool of extensions sorted by
-    ``(-score, tokens)``, and every finished hypothesis kept and sorted at
-    the end.  Steps through ``decoding._start`` and ``decoding._step_logprobs``
+def beam_search(model, enc_states, cfg, beam_size):
+    """The tuple-sort caption beam that ``decoding.beam_search`` replaced:
+    every live hypothesis a (tokens, total) tuple, the pool of extensions
+    sorted by ``(-score, tokens)``, and every finished hypothesis kept and
+    sorted at the end.  Steps through ``decoding._start`` and ``decoding._step_logprobs``
     as looked up at call time.  Returns (tokens, normalized score)."""
-    eos = SPECIALS.eos if cfg.modality == "text" else SPECIALS.eoi
-    bos = SPECIALS.bos if cfg.modality == "text" else SPECIALS.boi
-    candidates = np.concatenate(([eos], dec.allowed_ids(model, cfg.modality)))
+    candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
 
     def norm(total, emitted):
         return total / emitted**cfg.length_norm
 
     active = [((), 0.0)]
-    last = [bos]
+    last = [SPECIALS.bos]
     finished = []
     with ad.no_grad():
-        enc, enc_valid, cache = dec._start(model, enc_states, cfg.max_len)
-        for _ in range(cfg.max_len):
+        enc, enc_valid, cache = dec._start(model, enc_states, cfg.max_decode_len)
+        for _ in range(cfg.max_decode_len):
             lp = dec._step_logprobs(model, enc, enc_valid, cache, last, candidates,
                                     cfg.temperature)
             pool = []
@@ -70,14 +68,22 @@ def beam_search(model, enc_states, cfg):
                 for j, tid in enumerate(candidates[1:], start=1):
                     pool.append((tokens + (int(tid),), total + lp[row, j], row))
             pool.sort(key=lambda e: (-e[1], e[0]))
-            pool = pool[:cfg.beam_size]
+            pool = pool[:beam_size]
             cache.reorder([row for _, _, row in pool])
             active = [(tokens, total) for tokens, total, _ in pool]
             last = [tokens[-1] for tokens, _ in active]
-    finished.extend((tokens, norm(total, cfg.max_len)) for tokens, total in active)
+    finished.extend((tokens, norm(total, cfg.max_decode_len)) for tokens, total in active)
     finished.sort(key=lambda e: (-e[1], e[0]))
     best_tokens, best_score = finished[0]
     return np.asarray(best_tokens, dtype=np.int64), float(best_score)
+
+
+def top_k_filter(probs: np.ndarray, k: int):
+    """The k highest-probability entries (stable: ties keep lower indices),
+    renormalized; the per-row reference for ``decoding._pick``'s top-k cut."""
+    order = np.argsort(-probs, kind="stable")[:min(k, probs.size)]
+    mass = probs[order]
+    return order, mass / mass.sum()
 
 
 def support_mass(ranked: np.ndarray, kept: np.ndarray) -> np.ndarray:

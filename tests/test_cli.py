@@ -261,7 +261,8 @@ def test_eval_refuses_long_decoding_before_the_nll_passes(data_file, monkeypatch
     rc = cli_dispatch(["eval", "--ckpt", str(small_ckpt), "--data", str(data_file),
                        "--set", "max_decode_len=40"])
     assert rc == 1
-    _one_error_line(capsys, "max_len 40 needs 41 decoder positions; max decoder length is 26")
+    _one_error_line(capsys,
+                    "max_decode_len 40 needs 41 decoder positions; max decoder length is 26")
 
 
 @pytest.mark.parametrize("command", ["finetune", "resume"])

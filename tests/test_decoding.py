@@ -12,10 +12,12 @@ from duvlg import decoding as dec
 from duvlg import model as mdl
 from duvlg.codec import PatchFeaturizer, VisualCodebook
 from duvlg.data import TextVocab, gen_dataset
-from duvlg.decoding import DecodeConfig, beam_search, nucleus_filter, top_k_filter
+from duvlg.config import RunConfig
+from duvlg.decoding import beam_search, nucleus_filter
 from duvlg.model import SPECIALS, ModelConfig, N_SPECIALS
 
 import reference
+from reference import top_k_filter
 
 
 def _tiny(seed, text_vocab=3):
@@ -39,17 +41,17 @@ def _full_logprobs(model, enc, prefix, candidates, temperature=1.0):
     return row - np.log(np.exp(row).sum())
 
 
-def _reference_pick(lp, cfg, rng) -> int:
+def _reference_pick(lp, cfg, strategy, rng) -> int:
     """Per-row pick through the filters and ``rng.choice``: the simple path
     the batched ``dec._pick`` must reproduce bit for bit."""
-    if cfg.strategy == "greedy":
+    if strategy == "greedy":
         return int(np.argmax(lp))
     probs = np.exp(lp)
     probs = probs / probs.sum()
-    if cfg.strategy == "nucleus":
+    if strategy == "nucleus":
         support, renorm = nucleus_filter(probs, cfg.top_p)
     else:
-        support, renorm = top_k_filter(probs, cfg.k)
+        support, renorm = top_k_filter(probs, cfg.top_k)
     return int(rng.choice(support, p=renorm))
 
 
@@ -62,17 +64,17 @@ def _exhaustive_best(model, enc, cfg):
         return _full_logprobs(model, enc, prefix, candidates, cfg.temperature)
 
     best = None
-    for length in range(cfg.max_len + 1):
+    for length in range(cfg.max_decode_len + 1):
         for tokens in itertools.product(words, repeat=length):
             prefix = (SPECIALS.bos,) + tokens
             total = 0.0
             for t, tok in enumerate(tokens):
                 lp = logp((SPECIALS.bos,) + tokens[:t])
                 total += lp[1 + words.index(tok)]
-            if length < cfg.max_len:  # terminated by eos
+            if length < cfg.max_decode_len:  # terminated by eos
                 total += logp(prefix)[0]
                 score = total / (length + 1) ** cfg.length_norm
-            else:  # truncated at max_len
+            else:  # truncated at max_decode_len
                 score = total / length**cfg.length_norm
             key = (-score, tuple(int(t) for t in tokens))
             if best is None or key < best[0]:
@@ -83,8 +85,7 @@ def _exhaustive_best(model, enc, cfg):
 def test_beam_one_equals_greedy():
     model = _tiny(0)
     enc = _enc(model)
-    cfg = DecodeConfig(beam_size=1, max_len=5)
-    tokens, _ = beam_search(model, enc, cfg)
+    tokens, _ = beam_search(model, enc, RunConfig(max_decode_len=5), 1)
     # hand-rolled greedy over the same candidate set
     candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
     out, prefix = [], [SPECIALS.bos]
@@ -102,8 +103,8 @@ def test_beam_one_equals_greedy():
 def test_beam_matches_exhaustive_tiny_models(seed):
     model = _tiny(seed)
     enc = _enc(model, (seed % 3,))
-    cfg = DecodeConfig(beam_size=4**3, max_len=3)
-    tokens, score = beam_search(model, enc, cfg)
+    cfg = RunConfig(max_decode_len=3)
+    tokens, score = beam_search(model, enc, cfg, 4**3)
     ref_tokens, ref_score = _exhaustive_best(model, enc, cfg)
     assert tokens.tolist() == ref_tokens.tolist()
     assert score == pytest.approx(ref_score, abs=1e-12)
@@ -117,16 +118,17 @@ def test_beam_uniform_ties_lexicographic(monkeypatch):
         return np.full((len(tokens), len(candidates)), -np.log(len(candidates)))
 
     monkeypatch.setattr(dec, "_step_logprobs", uniform)
-    tokens, _ = beam_search(model, enc, DecodeConfig(beam_size=8, max_len=3))
+    tokens, _ = beam_search(model, enc, RunConfig(max_decode_len=3), 8)
     assert tokens.tolist() == []  # empty sequence is lexicographically smallest
 
 
 def test_beam_score_at_least_greedy():
+    cfg = RunConfig(max_decode_len=6)
     for seed in range(5):
         model = _tiny(seed, text_vocab=5)
         enc = _enc(model)
-        g_tokens, g_score = beam_search(model, enc, DecodeConfig(beam_size=1, max_len=6))
-        b_tokens, b_score = beam_search(model, enc, DecodeConfig(beam_size=5, max_len=6))
+        g_tokens, g_score = beam_search(model, enc, cfg, 1)
+        b_tokens, b_score = beam_search(model, enc, cfg, 5)
         assert b_score >= g_score - 1e-12
 
 
@@ -170,17 +172,18 @@ _BEAM_LOGPROBS = {
 }
 
 
-@pytest.mark.parametrize("modality", ["text", "image"])
+@pytest.mark.parametrize("modality", ["text"])  # beam search decodes captions only
 @pytest.mark.parametrize("beam_size", [1, 2, 5, 200])  # 200 exceeds every pool here
 @pytest.mark.parametrize("case", list(_BEAM_LOGPROBS))
 def test_beam_matches_tuple_sort_reference(monkeypatch, case, beam_size, modality):
     model = _tiny(0, text_vocab=5)
+    words = set(dec.allowed_ids(model, modality).tolist())
     for seed, (max_len, length_norm) in enumerate([(4, 1.0), (5, 0.0), (3, 0.7), (4, -0.5)]):
         _fake_decoder(monkeypatch, _BEAM_LOGPROBS[case](seed))
-        cfg = DecodeConfig(beam_size=beam_size, max_len=max_len, length_norm=length_norm,
-                           modality=modality)
-        tokens, score = beam_search(model, None, cfg)
-        ref_tokens, ref_score = reference.beam_search(model, None, cfg)
+        cfg = RunConfig(max_decode_len=max_len, length_norm=length_norm)
+        tokens, score = beam_search(model, None, cfg, beam_size)
+        ref_tokens, ref_score = reference.beam_search(model, None, cfg, beam_size)
+        assert set(tokens.tolist()) <= words
         assert tokens.tolist() == ref_tokens.tolist()
         assert score.hex() == ref_score.hex()
 
@@ -195,9 +198,9 @@ def test_beam_tie_at_the_cutoff_breaks_by_tokens_across_parents(monkeypatch):
              (0, 8): [-9, -9, -9, -9, -9, -1],
              (0, 8, 12): [0, -9, -9, -9, -9, -9]}
     _fake_decoder(monkeypatch, lambda prefix, n: np.array(table.get(prefix, [-9.0] * n), float))
-    model, cfg = _tiny(0, text_vocab=5), DecodeConfig(beam_size=2, max_len=3)
+    model, cfg = _tiny(0, text_vocab=5), RunConfig(max_decode_len=3)
     for search in (beam_search, reference.beam_search):
-        tokens, score = search(model, None, cfg)
+        tokens, score = search(model, None, cfg, 2)
         assert tokens.tolist() == [8, 12] and score == -1.0
 
 
@@ -206,26 +209,22 @@ def test_beam_on_a_model_matches_reference_bitwise(gen_world, monkeypatch, beam_
     # end to end: the one-table step log-probs and the array beam against
     # the full-head step and the tuple-sort beam
     model, vocab, examples = gen_world
-    searches = []
-    for ex in examples:
-        searches.append((mdl.encode(model, patches=model.featurizer.featurize_image(ex.image)),
-                         DecodeConfig(beam_size=beam_size, max_len=10)))
-        searches.append((mdl.encode(model, text_ids=ex.caption),
-                         DecodeConfig(beam_size=beam_size, max_len=6, modality="image")))
-    got = [beam_search(model, enc, cfg) for enc, cfg in searches]
+    cfg = RunConfig(max_decode_len=10)
+    encoded = [mdl.encode(model, patches=model.featurizer.featurize_image(ex.image))
+               for ex in examples]
+    got = [beam_search(model, enc, cfg, beam_size) for enc in encoded]
     monkeypatch.setattr(dec, "_step_logprobs", reference.step_logprobs)
-    want = [reference.beam_search(model, enc, cfg) for enc, cfg in searches]
+    want = [reference.beam_search(model, enc, cfg, beam_size) for enc in encoded]
     for (tokens, score), (ref_tokens, ref_score) in zip(got, want):
         assert tokens.tolist() == ref_tokens.tolist() and score.hex() == ref_score.hex()
 
 
-@pytest.mark.parametrize("candidates", ["text", "image", "mixed"])
+@pytest.mark.parametrize("candidates", ["text", "image"])
 def test_step_logprobs_match_full_head_columns(gen_world, candidates):
     model, vocab, examples = gen_world
     ids = {"text": np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text"))),
-           "image": dec.allowed_ids(model, "image"),
-           "mixed": np.concatenate(([SPECIALS.eoi], dec.allowed_ids(model, "image")))}[candidates]
-    first = SPECIALS.boi if candidates != "text" else SPECIALS.bos
+           "image": dec.allowed_ids(model, "image")}[candidates]
+    first = SPECIALS.boi if candidates == "image" else SPECIALS.bos
     enc_states = mdl.encode(model, text_ids=examples[2].caption)
     rng = np.random.default_rng(3)
     with ad.no_grad():
@@ -305,14 +304,14 @@ def test_top_k_chi_square_10k():
 def test_samplers_run_and_respect_modality():
     model = _tiny(2, text_vocab=5)
     enc = _enc(model)
-    cfg = DecodeConfig(max_len=6, top_p=0.9, k=3)
+    cfg = RunConfig(max_decode_len=6, top_p=0.9, top_k=3)
     rng = np.random.default_rng(0)
     text_range = set(range(N_SPECIALS, N_SPECIALS + 5))
     candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
     for _ in range(10):
         for strategy in ("nucleus", "topk"):
-            out = dec._sample(model, enc, replace(cfg, strategy=strategy), [rng], SPECIALS.bos,
-                              candidates, cfg.max_len, stop=SPECIALS.eos)
+            out = dec._sample(model, enc, cfg, strategy, [rng], SPECIALS.bos, candidates,
+                              cfg.max_decode_len, stop=SPECIALS.eos)
             assert out[0, 0] == SPECIALS.bos and set(out[0, 1:].tolist()) <= text_range
 
 
@@ -330,9 +329,9 @@ def _pick_cases():
         "ties": (np.round(rng.normal(size=(8, 40))), {}),
         "uniform": (np.zeros((4, 9)), {}),
         "top_p_one": (rng.normal(size=(6, 30)), {"top_p": 1.0}),
-        "support_of_one": (peaked, {"top_p": 0.5, "k": 1}),
-        "k_at_least_size": (rng.normal(size=(5, 8)), {"k": 50}),
-        "one_row": (rng.normal(size=(1, 89)) * 3.0, {"top_p": 0.7, "k": 3}),
+        "support_of_one": (peaked, {"top_p": 0.5, "top_k": 1}),
+        "k_at_least_size": (rng.normal(size=(5, 8)), {"top_k": 50}),
+        "one_row": (rng.normal(size=(1, 89)) * 3.0, {"top_p": 0.7, "top_k": 3}),
         "one_candidate": (rng.normal(size=(3, 1)), {}),
     }
 
@@ -342,12 +341,12 @@ def _pick_cases():
 def test_pick_matches_per_row_reference(case, strategy):
     logits, overrides = _pick_cases()[case]
     lp = _log_softmax(logits)
-    cfg = DecodeConfig(strategy=strategy, **{"top_p": 0.9, "k": 5, **overrides})
+    cfg = RunConfig(**{"top_p": 0.9, "top_k": 5, **overrides})
     for seed in range(5):
         batched = np.random.default_rng(seed).spawn(len(lp))
         per_row = np.random.default_rng(seed).spawn(len(lp))
-        got = dec._pick(lp, cfg, batched)
-        want = [_reference_pick(row, cfg, child) for row, child in zip(lp, per_row)]
+        got = dec._pick(lp, cfg, strategy, batched)
+        want = [_reference_pick(row, cfg, strategy, child) for row, child in zip(lp, per_row)]
         assert got.tolist() == want
         # one draw per sampled row, none for greedy: the streams stay in step
         assert [c.bit_generator.state for c in batched] == [c.bit_generator.state for c in per_row]
@@ -355,22 +354,22 @@ def test_pick_matches_per_row_reference(case, strategy):
 
 def test_pick_rejects_beam():
     with pytest.raises(ValueError, match="not a sampling strategy"):
-        dec._pick(np.zeros((1, 3)), DecodeConfig(strategy="beam"), [np.random.default_rng(0)])
+        dec._pick(np.zeros((1, 3)), RunConfig(), "beam", [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize("field, value, text", [
-    ("temperature", float("nan"), "temperature must be finite and positive"),
-    ("temperature", float("inf"), "temperature must be finite and positive"),
-    ("temperature", 0.0, "temperature must be finite and positive"),
+    ("temperature", float("nan"), "temperature must be finite and > 0"),
+    ("temperature", float("inf"), "temperature must be finite and > 0"),
+    ("temperature", 0.0, "temperature must be finite and > 0"),
     ("length_norm", float("nan"), "length_norm must be finite"),
     ("length_norm", float("inf"), "length_norm must be finite"),
     ("length_norm", -float("inf"), "length_norm must be finite"),
 ])
 def test_decode_config_refuses_non_finite_settings(field, value, text):
-    # temperature=nan passed the "<= 0" check, and length_norm=nan made beam
+    # temperature=nan passed a "<= 0" check, and length_norm=nan made beam
     # search prefer the empty caption
     with pytest.raises(ValueError, match=text):
-        DecodeConfig(**{field: value})
+        RunConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -388,8 +387,8 @@ def gen_world():
 
 def test_generate_image_protocol(gen_world):
     model, vocab, examples = gen_world
-    cfg = DecodeConfig(strategy="nucleus", n_samples=16, top_p=0.9)
-    assert cfg.n_samples == 16  # default matches sampling protocol
+    cfg = RunConfig()
+    assert cfg.n_samples == 16 and cfg.top_p == 0.9  # defaults match the sampling protocol
     seqs = dec.generate_image_tokens(model, examples[0].caption, cfg,
                                      np.random.default_rng(0), n_patches=16)
     assert len(seqs) == 16
@@ -403,7 +402,7 @@ def test_generate_image_protocol(gen_world):
 
 def test_generate_image_decodes(gen_world):
     model, vocab, examples = gen_world
-    cfg = DecodeConfig(strategy="nucleus", n_samples=3)
+    cfg = RunConfig(n_samples=3)
     images = dec.generate_image(model, examples[0].caption, cfg,
                                 np.random.default_rng(0), (4, 4))
     assert len(images) == 3
@@ -413,14 +412,14 @@ def test_generate_image_decodes(gen_world):
 
 def test_generate_image_deterministic(gen_world):
     model, vocab, examples = gen_world
-    cfg = DecodeConfig(strategy="nucleus", n_samples=4)
+    cfg = RunConfig(n_samples=4)
     a = dec.generate_image(model, examples[0].caption, cfg, np.random.default_rng(9), (4, 4))
     b = dec.generate_image(model, examples[0].caption, cfg, np.random.default_rng(9), (4, 4))
     for ia, ib in zip(a, b):
         assert np.array_equal(ia.pixels, ib.pixels)
 
 
-def _oracle_image_tokens(model, caption, cfg, rng, n_patches):
+def _oracle_image_tokens(model, caption, cfg, strategy, rng, n_patches):
     """Per-sample full-recompute sampler with the same pick rule and streams."""
     enc = mdl.encode(model, text_ids=caption)
     visual = dec.allowed_ids(model, "image")
@@ -429,7 +428,7 @@ def _oracle_image_tokens(model, caption, cfg, rng, n_patches):
         prefix = [SPECIALS.boi]
         for _ in range(n_patches):
             lp = _full_logprobs(model, enc, prefix, visual, cfg.temperature)
-            prefix.append(int(visual[_reference_pick(lp, cfg, child)]))
+            prefix.append(int(visual[_reference_pick(lp, cfg, strategy, child)]))
         out.append(prefix + [SPECIALS.eoi])
     return out
 
@@ -438,24 +437,26 @@ def _oracle_image_tokens(model, caption, cfg, rng, n_patches):
                                            ("topk", 3)])
 def test_generate_image_tokens_match_full_recompute(gen_world, strategy, seed):
     model, vocab, examples = gen_world
-    cfg = DecodeConfig(strategy=strategy, n_samples=4, top_p=0.8, k=5, temperature=0.7)
+    cfg = RunConfig(n_samples=4, top_p=0.8, top_k=5, temperature=0.7)
     caption = examples[seed].caption
-    seqs = dec.generate_image_tokens(model, caption, cfg, np.random.default_rng(seed), 16)
-    ref = _oracle_image_tokens(model, caption, cfg, np.random.default_rng(seed), 16)
+    seqs = dec.generate_image_tokens(model, caption, cfg, np.random.default_rng(seed), 16,
+                                     strategy)
+    ref = _oracle_image_tokens(model, caption, cfg, strategy, np.random.default_rng(seed), 16)
     assert [s.tolist() for s in seqs] == ref
 
 
 def test_sample_text_matches_full_recompute(gen_world):
     model, vocab, examples = gen_world
-    cfg = DecodeConfig(strategy="nucleus", max_len=8, top_p=0.95, temperature=2.0)
+    cfg = RunConfig(max_decode_len=8, top_p=0.95, temperature=2.0)
     enc = mdl.encode(model, patches=model.featurizer.featurize_image(examples[1].image))
     candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
     for seed in range(3):
-        got = dec.caption_image(model, examples[1].image, cfg, np.random.default_rng(seed))
+        got = dec.caption_image(model, examples[1].image, cfg, "nucleus",
+                                np.random.default_rng(seed))
         rng, prefix = np.random.default_rng(seed), [SPECIALS.bos]
-        for _ in range(cfg.max_len):
+        for _ in range(cfg.max_decode_len):
             lp = _full_logprobs(model, enc, prefix, candidates, cfg.temperature)
-            pick = int(candidates[_reference_pick(lp, cfg, rng)])
+            pick = int(candidates[_reference_pick(lp, cfg, "nucleus", rng)])
             if pick == SPECIALS.eos:
                 break
             prefix.append(pick)
@@ -472,12 +473,11 @@ _PINNED_IMAGE_TOKENS = {
 
 @pytest.mark.parametrize("strategy", list(_PINNED_IMAGE_TOKENS))
 def test_generate_image_tokens_pinned(strategy):
-    run_cfg = config.RunConfig(seed=4)
+    run_cfg = RunConfig(seed=4)
     model, vocab = config.build_model(run_cfg)
     caption = gen_dataset(1, 4, model.codebook, run_cfg.grid_dims(), vocab)[0].caption
-    seqs = np.stack(dec.generate_image_tokens(model, caption,
-                                              config.to_decode_config(run_cfg, strategy, "image"),
-                                              np.random.default_rng(21), 64))
+    seqs = np.stack(dec.generate_image_tokens(model, caption, run_cfg, np.random.default_rng(21),
+                                              64, strategy))
     assert seqs.shape == (16, 66)
     assert hashlib.sha256(seqs.astype("<i8").tobytes()).hexdigest() == _PINNED_IMAGE_TOKENS[strategy]
 
@@ -486,8 +486,9 @@ def _never_pick(*_args):
     raise AssertionError("a token was picked from non-finite log-probabilities")
 
 
-@pytest.mark.parametrize("modality", ["text", "image"])
-@pytest.mark.parametrize("strategy", ["beam", "greedy", "nucleus", "topk"])
+@pytest.mark.parametrize("strategy, modality", [
+    ("beam", "text"), ("greedy", "text"), ("nucleus", "text"), ("topk", "text"),
+    ("greedy", "image"), ("nucleus", "image"), ("topk", "image")])  # images have no beam
 def test_non_finite_logprobs_fail_before_any_pick(gen_world, monkeypatch, strategy, modality):
     model, vocab, examples = gen_world
     # one NaN in the last row of the head block this modality decodes into
@@ -496,15 +497,13 @@ def test_non_finite_logprobs_fail_before_any_pick(gen_world, monkeypatch, strate
     poisoned[row, 0] = np.nan
     monkeypatch.setattr(model.embed, "values", poisoned)
     monkeypatch.setattr(dec, "_pick", _never_pick)
-    cfg = DecodeConfig(strategy=strategy, modality=modality, max_len=4, n_samples=3)
+    cfg = RunConfig(max_decode_len=4, n_samples=3)
     with pytest.raises(ValueError, match="log-probabilities are not all finite"):
         if modality == "text":
-            dec.caption_image(model, examples[0].image, cfg, np.random.default_rng(0))
-        elif strategy == "beam":
-            beam_search(model, mdl.encode(model, text_ids=examples[0].caption), cfg)
+            dec.caption_image(model, examples[0].image, cfg, strategy, np.random.default_rng(0))
         else:
             dec.generate_image_tokens(model, examples[0].caption, cfg,
-                                      np.random.default_rng(0), 4)
+                                      np.random.default_rng(0), 4, strategy)
 
 
 def _no_encoding(*_args, **_kwargs):
@@ -515,8 +514,7 @@ def test_generate_image_checks_patch_count_first(gen_world, monkeypatch):
     model, vocab, examples = gen_world
     monkeypatch.setattr(dec, "encode", _no_encoding)
     with pytest.raises(ValueError, match="17 patches exceeds max_patches 16"):
-        dec.generate_image_tokens(model, examples[0].caption,
-                                  DecodeConfig(strategy="nucleus", n_samples=2),
+        dec.generate_image_tokens(model, examples[0].caption, RunConfig(n_samples=2),
                                   np.random.default_rng(0), 17)
 
 
@@ -524,19 +522,19 @@ def test_generate_image_checks_patch_count_first(gen_world, monkeypatch):
 def test_text_decoders_check_length_first(gen_world, monkeypatch, strategy):
     model, vocab, examples = gen_world
     enc = mdl.encode(model, text_ids=examples[0].caption)
-    cfg = DecodeConfig(strategy=strategy, max_len=model.cfg.max_dec_len)
+    cfg = RunConfig(max_decode_len=model.cfg.max_dec_len)
     monkeypatch.setattr(dec, "encode", _no_encoding)
     with pytest.raises(ValueError, match=f"max decoder length is {model.cfg.max_dec_len}"):
-        dec.caption_image(model, examples[0].image, cfg, np.random.default_rng(0))
+        dec.caption_image(model, examples[0].image, cfg, strategy, np.random.default_rng(0))
     # called directly, the decoders still refuse a cache larger than the decoder
-    over = replace(cfg, max_len=model.cfg.max_dec_len + 1)
+    over = replace(cfg, max_decode_len=model.cfg.max_dec_len + 1)
     with pytest.raises(ValueError, match=f"exceeds max decoder length {model.cfg.max_dec_len}"):
         if strategy == "beam":
-            beam_search(model, enc, over)
+            beam_search(model, enc, over, over.beam_size)
         else:
             candidates = np.concatenate(([SPECIALS.eos], dec.allowed_ids(model, "text")))
-            dec._sample(model, enc, over, [np.random.default_rng(0)], SPECIALS.bos, candidates,
-                        over.max_len, stop=SPECIALS.eos)
+            dec._sample(model, enc, over, strategy, [np.random.default_rng(0)], SPECIALS.bos,
+                        candidates, over.max_decode_len, stop=SPECIALS.eos)
 
 
 def test_decoding_leaves_gradients_untouched(gen_world):
@@ -546,10 +544,10 @@ def test_decoding_leaves_gradients_untouched(gen_world):
         p.grad = sentinel[name]
     try:
         caption = examples[0].caption
-        dec.caption_image(model, examples[0].image, DecodeConfig(beam_size=3, max_len=5))
-        dec.caption_image(model, examples[0].image, DecodeConfig(strategy="topk", max_len=5),
+        dec.caption_image(model, examples[0].image, RunConfig(beam_size=3, max_decode_len=5))
+        dec.caption_image(model, examples[0].image, RunConfig(max_decode_len=5), "topk",
                           np.random.default_rng(0))
-        images = dec.generate_image(model, caption, DecodeConfig(strategy="nucleus", n_samples=2),
+        images = dec.generate_image(model, caption, RunConfig(n_samples=2),
                                     np.random.default_rng(0), (4, 4))
         dec.rerank(model, caption, images)
         dec.caption_nll(model, images[0], caption)
@@ -562,9 +560,8 @@ def test_decoding_leaves_gradients_untouched(gen_world):
 def test_generate_image_rejects_beam(gen_world):
     model, vocab, examples = gen_world
     with pytest.raises(ValueError):
-        dec.generate_image_tokens(model, examples[0].caption,
-                                  DecodeConfig(strategy="beam"),
-                                  np.random.default_rng(0), 16)
+        dec.generate_image_tokens(model, examples[0].caption, RunConfig(),
+                                  np.random.default_rng(0), 16, "beam")
 
 
 def test_rerank_single_and_ties(gen_world):
@@ -605,17 +602,17 @@ def test_rerank_empty_errors(gen_world):
 
 def test_caption_image_modality(gen_world):
     model, vocab, examples = gen_world
-    tokens = dec.caption_image(model, examples[0].image, DecodeConfig(beam_size=2, max_len=6))
+    tokens = dec.caption_image(model, examples[0].image, RunConfig(beam_size=2, max_decode_len=6))
     split = model.cfg.first_visual_id
     assert all(N_SPECIALS <= t < split for t in tokens.tolist())
 
 
-def test_decode_config_validation():
-    with pytest.raises(ValueError):
-        DecodeConfig(strategy="magic")
-    with pytest.raises(ValueError):
-        DecodeConfig(top_p=0.0)
-    with pytest.raises(ValueError):
-        DecodeConfig(beam_size=0)
-    with pytest.raises(ValueError):
-        DecodeConfig(modality="audio")
+def test_unknown_strategies_fail_before_encoding(gen_world, monkeypatch):
+    model, vocab, examples = gen_world
+    monkeypatch.setattr(dec, "encode", _no_encoding)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown strategy 'magic'"):
+        dec.caption_image(model, examples[0].image, RunConfig(), "magic", rng)
+    for strategy in ("beam", "magic"):
+        with pytest.raises(ValueError, match=f"greedy/nucleus/topk, not '{strategy}'"):
+            dec.generate_image_tokens(model, examples[0].caption, RunConfig(), rng, 16, strategy)

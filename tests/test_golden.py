@@ -16,7 +16,6 @@ from duvlg import checkpoint as ck
 from duvlg import data as dat
 from duvlg import decoding as dec
 from duvlg.cli import cli_dispatch
-from duvlg.config import to_decode_config
 
 # the default model, on a small batch and a short run
 _SETTINGS = ["--set", "seed=7", "--set", "batch_size=4", "--set", "n_samples=4"]
@@ -63,13 +62,11 @@ def fingerprints(tmp_path_factory):
     model, cfg = loaded.model, loaded.config
     examples = dat.load_dataset(data, model.codebook, cfg.grid_dims(), loaded.vocab)
     for strategy in ("beam", "greedy", "nucleus", "topk"):
-        tokens = dec.caption_image(model, examples[0].image,
-                                   to_decode_config(cfg, strategy, "text"),
+        tokens = dec.caption_image(model, examples[0].image, cfg, strategy,
                                    np.random.default_rng(11))
         out[f"caption_{strategy}"] = _sha(_ids(tokens))
     caption = examples[1].caption
-    tokens = dec.generate_image_tokens(model, caption, to_decode_config(cfg, "nucleus", "image"),
-                                       np.random.default_rng(13), 64)
+    tokens = dec.generate_image_tokens(model, caption, cfg, np.random.default_rng(13), 64)
     out["image_tokens_nucleus"] = _sha(_ids(np.stack(tokens)))
     best, scores = dec.rerank(model, caption, [ex.image for ex in examples[:6]])
     out["rerank"] = _sha(" ".join([str(best)] + [float(s).hex() for s in scores]).encode())

@@ -182,7 +182,7 @@ def test_pretrain_zero_steps_no_change(world):
 def test_pretrain_deterministic_bitwise(world):
     # also with inference between steps: no_grad decoding must leave the
     # training graph, gradients and log untouched
-    from duvlg.decoding import DecodeConfig, caption_image
+    from duvlg.decoding import caption_image
 
     _, _, _, examples = world
 
@@ -193,7 +193,8 @@ def test_pretrain_deterministic_bitwise(world):
         def log(line):
             lines.append(line)
             if decode_between_steps:
-                caption_image(model, examples[0].image, DecodeConfig(beam_size=2, max_len=4))
+                caption_image(model, examples[0].image,
+                              RunConfig(beam_size=2, max_decode_len=4))
 
         op.pretrain(examples, model, 5, RunConfig(batch_size=2),
                     np.random.default_rng(11), log_fn=log)

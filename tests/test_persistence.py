@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -303,12 +306,28 @@ def test_record_larger_than_int64_bytes_is_truncated(tmp_path, edit_header, shap
     lambda h: h.update(step=2**63),
     lambda h: h["optim"].update(step_count=True),
     lambda h: h["optim"].update(step_count=float("inf")),
+    # empty axes: 0 bytes passed the size check, and numpy's reshape raised
+    lambda h: h["records"].__setitem__(0, ["patch_proj", [0, 2**70]]),
+    lambda h: h["records"].__setitem__(0, ["patch_proj", [0, 2**62, 2**62]]),
 ])
 def test_checkpoint_header_schema(tmp_path, edit_header, edit):
     path, _, _ = _saved(tmp_path)
     bad = tmp_path / "bad.ckpt"
     edit_header(path, bad, edit)
-    with pytest.raises(ck.CheckpointError):
+    with pytest.raises(ck.CheckpointError, match=re.escape(str(bad))):
+        ck.load_checkpoint(bad)
+
+
+def test_header_integer_past_the_digit_limit_names_the_file(tmp_path, edit_header):
+    # json.loads refuses an int of more than 4300 digits with a plain ValueError
+    path, _, _ = _saved(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    edit_header(path, bad, lambda h: h.update(step="STEP"))
+    blob = bad.read_bytes()
+    hlen = struct.unpack_from("<II", blob, 9)[1]
+    header = blob[17:17 + hlen].replace(b'"STEP"', b"9" * 5000)
+    bad.write_bytes(blob[:9] + struct.pack("<II", 1, len(header)) + header + blob[17 + hlen:])
+    with pytest.raises(ck.CheckpointError, match=re.escape(f"{bad}: unreadable header")):
         ck.load_checkpoint(bad)
 
 
