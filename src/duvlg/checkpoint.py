@@ -152,41 +152,41 @@ def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
+    """Reads one record at a time: a buffer of the whole file would raise peak
+    memory by the file's size, and with heap trimming off (``autodiff``)
+    leave a hole that size in the heap."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        fixed = fh.read(len(MAGIC) + 8)
+        if len(fixed) < len(MAGIC) + 8:
+            raise TruncatedCheckpointError(f"{path}: shorter than the fixed header")
+        if fixed[:len(MAGIC)] != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {fixed[:len(MAGIC)]!r}")
+        version, hlen = struct.unpack_from("<II", fixed, len(MAGIC))
+        if version != VERSION:
+            raise VersionMismatchError(f"{path}: format version {version}, expected {VERSION}")
+        if size < fh.tell() + hlen:
+            raise TruncatedCheckpointError(f"{path}: truncated JSON header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8, bad JSON, or an int past the digit limit
+            raise CheckpointError(f"{path}: unreadable header: {exc}") from None
 
-    if len(raw) < len(MAGIC) + 8:
-        raise TruncatedCheckpointError(f"{path}: shorter than the fixed header")
-    if raw[:len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:len(MAGIC)]!r}")
-    version, hlen = struct.unpack_from("<II", raw, len(MAGIC))
-    if version != VERSION:
-        raise VersionMismatchError(f"{path}: format version {version}, expected {VERSION}")
-    off = len(MAGIC) + 8
-    if len(raw) < off + hlen:
-        raise TruncatedCheckpointError(f"{path}: truncated JSON header")
-    try:
-        header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an int past the digit limit
-        raise CheckpointError(f"{path}: unreadable header: {exc}") from None
-    off += hlen
+        _check_header(path, header)
+        rng = _restore_rng(path, header["rng_state"])
+        cfg = config_from_dict(header["config"])
+        model, vocab = build_model(cfg)
+        optim = OptimState(step_count=header["optim"]["step_count"])
 
-    _check_header(path, header)
-    rng = _restore_rng(path, header["rng_state"])
-    cfg = config_from_dict(header["config"])
-    model, vocab = build_model(cfg)
-    optim = OptimState(step_count=header["optim"]["step_count"])
-
-    arrays = {}
-    for name, shape in header["records"]:
-        shape = tuple(shape)
-        nbytes = 8 * math.prod(shape)
-        if len(raw) < off + nbytes:
-            raise TruncatedCheckpointError(f"{path}: record {name!r} is cut short")
-        arrays[name] = np.frombuffer(raw[off:off + nbytes], dtype="<f8").reshape(shape).copy()
-        off += nbytes
-    if off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes")
+        arrays = {}
+        for name, shape in header["records"]:
+            shape = tuple(shape)
+            nbytes = 8 * math.prod(shape)
+            if size < fh.tell() + nbytes:
+                raise TruncatedCheckpointError(f"{path}: record {name!r} is cut short")
+            arrays[name] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes")
     for pre in ("", "adam.m.", "adam.v."):  # the two-record layout (module docstring)
         top, bottom = (arrays.pop(f"{pre}{n}", None) for n in ("text_embed", "visual_embed_dec"))
         if top is not None and bottom is not None and top.ndim == bottom.ndim == 2 \

@@ -94,7 +94,7 @@ _SHAPE_KEYS = ("d_model", "n_layers_enc", "n_layers_dec", "n_heads", "d_ff", "ma
 
 
 def _load_dataset(path, cfg, model, vocab):
-    return dat.load_dataset(path, model.codebook, cfg.grid_dims(), vocab)
+    return dat.load_dataset(path, model.codebook, cfg.grid_dims(), vocab, cfg.max_text_len)
 
 
 def _cmd_gen_data(args, cfg: RunConfig, _loaded) -> int:

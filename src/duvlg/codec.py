@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-
 
 class VocabularyError(ValueError):
     """A visual token id falls outside the codebook."""
@@ -50,18 +48,6 @@ class ImageGrid:
         return self.pixels.shape[1]
 
 
-@dataclass
-class PatchSequence:
-    """Frozen per-patch feature rows in row-major patch order."""
-
-    features: Tensor  # [n_patches x d_feat], requires_grad=False
-    grid_dims: tuple[int, int]
-
-    @property
-    def n_patches(self) -> int:
-        return self.features.shape[0]
-
-
 def extract_patches(img: ImageGrid, p: int) -> np.ndarray:
     """Flatten an image into [n_patches x p*p*3] row-major patch vectors."""
     rows, cols = patch_grid_dims(img, p)
@@ -87,8 +73,9 @@ def assemble_patches(patches: np.ndarray, grid_dims: tuple[int, int], p: int) ->
 class PatchFeaturizer:
     """Frozen stand-in for a pretrained patch encoder: fixed linear + tanh.
 
-    Weights come from a named seed, never train, and never receive gradient
-    (features enter graphs as constants).
+    Weights come from a named seed and never train.  Features are plain
+    [n_patches x d_feat] arrays in row-major patch order; the encoder wraps
+    them as graph constants, so they never receive gradient.
     """
 
     def __init__(self, patch_size: int, d_feat: int):
@@ -99,14 +86,11 @@ class PatchFeaturizer:
         self.weight = rng.uniform(-1.0, 1.0, (d_in, d_feat)) / np.sqrt(d_in)
         self.bias = rng.uniform(-0.5, 0.5, d_feat)
 
-    def featurize(self, patches: np.ndarray, grid_dims: tuple[int, int]) -> PatchSequence:
-        feats = np.tanh(patches @ self.weight + self.bias)
-        return PatchSequence(features=Tensor(feats), grid_dims=grid_dims)
+    def featurize(self, patches: np.ndarray) -> np.ndarray:
+        return np.tanh(patches @ self.weight + self.bias)
 
-    def featurize_image(self, img: ImageGrid) -> PatchSequence:
-        p = self.patch_size
-        patches = extract_patches(img, p)  # checks that p divides the image
-        return self.featurize(patches, (img.height // p, img.width // p))
+    def featurize_image(self, img: ImageGrid) -> np.ndarray:
+        return self.featurize(extract_patches(img, self.patch_size))
 
 
 # Codeword radii: inf-norm of a rendered patch offset is bounded by the
@@ -122,7 +106,7 @@ class VisualCodebook:
     K: int
     d_code: int
     patch_size: int
-    embed: Tensor = field(repr=False)  # [K x d_code], requires_grad=False
+    embed: np.ndarray = field(repr=False)  # [K x d_code]
     render_map: np.ndarray = field(repr=False)  # [d_code x p*p*3], orthonormal rows
 
     @classmethod
@@ -144,14 +128,14 @@ class VisualCodebook:
             rows[count] = v
             count += 1
         return cls(K=K, d_code=d_code, patch_size=patch_size,
-                   embed=Tensor(rows), render_map=render_map)
+                   embed=rows, render_map=render_map)
 
     def render(self, ids: np.ndarray) -> np.ndarray:
         """Codeword ids -> raw [n x p*p*3] pixel patches."""
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.K):
             raise VocabularyError(f"token id out of range for codebook of size {self.K}")
-        return 0.5 + self.embed.values[ids] @ self.render_map
+        return 0.5 + self.embed[ids] @ self.render_map
 
     def project(self, patches: np.ndarray) -> np.ndarray:
         """Raw pixel patches -> code-space vectors."""
@@ -162,8 +146,8 @@ def tokenize_image(img: ImageGrid, cb: VisualCodebook) -> np.ndarray:
     """Nearest-codeword id per patch; ties break toward the lowest id."""
     codes = cb.project(extract_patches(img, cb.patch_size))
     d2 = (codes * codes).sum(axis=1, keepdims=True) \
-        - 2.0 * codes @ cb.embed.values.T \
-        + (cb.embed.values * cb.embed.values).sum(axis=1)
+        - 2.0 * codes @ cb.embed.T \
+        + (cb.embed * cb.embed).sum(axis=1)
     return d2.argmin(axis=1).astype(np.int64)
 
 

@@ -9,32 +9,17 @@ import numpy as np
 
 
 @dataclass
-class PatchMask:
-    grid_dims: tuple[int, int]
-    masked: np.ndarray  # [rows x cols] bool
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.masked.reshape(-1)
-
-    @property
-    def count(self) -> int:
-        return int(self.masked.sum())
-
-
-@dataclass
 class CorruptedText:
-    corrupted: np.ndarray  # original with each covered span collapsed to one mask id
-    original: np.ndarray
+    corrupted: np.ndarray  # the tokens with each covered span collapsed to one mask id
     covered: int  # original tokens covered
     n_draws: int  # spans actually drawn (merged spans still count separately)
 
 
 def blockwise_mask(rows: int, cols: int, rate: float, rng: np.random.Generator,
                    min_block: int = 4, max_block: int = 16,
-                   aspect_min: float = 0.3) -> PatchMask:
+                   aspect_min: float = 0.3) -> np.ndarray:
     """Union random rectangles until at least ceil(rate * rows * cols) patches
-    are masked.
+    are masked; returns the [rows x cols] bool grid, True where masked.
 
     Each placed rectangle covers between min(min_block, grid) and max_block
     patches, so the final count overshoots the target by less than max_block.
@@ -63,7 +48,7 @@ def blockwise_mask(rows: int, cols: int, rate: float, rng: np.random.Generator,
         c0 = int(rng.integers(0, cols - w + 1))
         masked[r0:r0 + h, c0:c0 + w] = True
         count = int(masked.sum())
-    return PatchMask(grid_dims=(rows, cols), masked=masked)
+    return masked
 
 
 def _block_dims(area: int, aspect: float, rows: int, cols: int) -> tuple[int, int]:
@@ -151,4 +136,4 @@ def span_infill(tokens, rate: float, lam: float, rng: np.random.Generator,
             out.append(int(original[i]))
             i += 1
     return CorruptedText(corrupted=np.asarray(out, dtype=np.int64),
-                         original=original, covered=n_covered, n_draws=n_draws)
+                         covered=n_covered, n_draws=n_draws)

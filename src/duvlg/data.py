@@ -154,12 +154,18 @@ def _meta_to_string(meta) -> str:
 
 
 def _meta_from_string(s: str) -> tuple[BlockSpec, ...]:
+    """Blocks at distinct positions, in POSITIONS order (gen_dataset's), so no
+    block paints over another and the caption is a function of the image."""
     blocks = []
     for part in s.split(";"):
         color, _, position = part.partition("@")
         if color not in COLORS or position.replace("-", " ") not in POSITIONS:
             raise ValueError(f"bad block spec {part!r}")
         blocks.append(BlockSpec(color=COLORS.index(color), position=position.replace("-", " ")))
+    order = [POSITIONS.index(b.position) for b in blocks]
+    if order != sorted(set(order)):
+        raise ValueError(f"blocks must sit at distinct positions in the order "
+                         f"{', '.join(p.replace(' ', '-') for p in POSITIONS)}, got {s!r}")
     return tuple(blocks)
 
 
@@ -170,7 +176,8 @@ def save_dataset(examples, path, vocab: TextVocab):
 
 
 def load_dataset(path, cb: VisualCodebook, grid_dims: tuple[int, int],
-                 vocab: TextVocab) -> list[PairedExample]:
+                 vocab: TextVocab, max_text_len: int) -> list[PairedExample]:
+    """Read a dataset file; a caption longer than max_text_len is refused."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -187,6 +194,9 @@ def load_dataset(path, cb: VisualCodebook, grid_dims: tuple[int, int],
             ex = render_example(meta, cb, grid_dims, vocab)
             if decode_text(ex.caption, vocab) != caption:
                 raise ValueError(f"{path}:{lineno}: caption does not match block spec")
+            if ex.caption.size > max_text_len:
+                raise ValueError(f"{path}:{lineno}: {ex.caption.size} text tokens exceeds "
+                                 f"max_text_len {max_text_len}")
             out.append(ex)
     return out
 

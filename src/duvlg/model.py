@@ -41,8 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codec import PatchFeaturizer, PatchSequence, VisualCodebook
-from .corruption import PatchMask
+from .codec import PatchFeaturizer, VisualCodebook
 
 
 @dataclass(frozen=True)
@@ -354,8 +353,9 @@ def _placeholder(model: DuVlgModel, token: int, b: int) -> Tensor:
 
 def encode_batch(model: DuVlgModel, text_ids: list | None, patches: list | None,
                  patch_masks: list | None) -> tuple[Tensor, np.ndarray]:
-    """Batched encoder over per-example lists; ``None`` marks an input that
-    no example of the batch has.  Each example is its image segment, then its
+    """Batched encoder over per-example lists of token ids, [n_patches x
+    d_feat] features and bool patch grids; ``None`` marks an input that no
+    example of the batch has.  Each example is its image segment, then its
     text segment; a missing modality becomes a single placeholder embedding,
     and masked patches use the trainable [MASK] patch embedding.  Returns
     states [B x L x d] and a [B x L] mask of real (non-padding) positions;
@@ -370,14 +370,13 @@ def encode_batch(model: DuVlgModel, text_ids: list | None, patches: list | None,
     if patches is None:
         img, n = _placeholder(model, SPECIALS.imagepad, b), 1
     else:
-        n = patches[0].n_patches
-        if any(p.n_patches != n for p in patches):
-            raise ValueError("encode_batch needs equal patch counts")
+        feats = np.stack(patches)  # refuses unequal patch counts
+        n = feats.shape[1]
         if n > cfg.max_patches:
             raise ValueError(f"{n} patches exceeds max_patches {cfg.max_patches}")
-        img = ad.matmul(Tensor(np.stack([p.features.values for p in patches])), model.patch_proj)
+        img = ad.matmul(Tensor(feats), model.patch_proj)
         if patch_masks is not None:
-            m = np.stack([pm.flat for pm in patch_masks]).astype(np.float64).reshape(b, n, 1)
+            m = np.stack(patch_masks).astype(np.float64).reshape(b, n, 1)
             mask_row = ad.reshape(model.mask_patch, (1, 1, d))
             img = ad.add(ad.mul(img, Tensor(1.0 - m)), ad.mul(mask_row, Tensor(m)))
     img_seg = ad.add(ad.add(img, ad.narrow_rows(model.enc_img_pos, 0, n)),
@@ -409,8 +408,8 @@ def encode_batch(model: DuVlgModel, text_ids: list | None, patches: list | None,
     return ad.layer_norm(x, model.enc_final_g, model.enc_final_b), valid
 
 
-def encode(model: DuVlgModel, text_ids=None, patches: PatchSequence | None = None,
-           patch_mask: PatchMask | None = None) -> Tensor:
+def encode(model: DuVlgModel, text_ids=None, patches: np.ndarray | None = None,
+           patch_mask: np.ndarray | None = None) -> Tensor:
     """``encode_batch`` of one example: states [L x d], image then text."""
     states, _ = encode_batch(model, *(None if x is None else [x]
                                       for x in (text_ids, patches, patch_mask)))

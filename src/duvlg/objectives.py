@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codec import tokenize_image
+from .codec import patch_grid_dims, tokenize_image
 from .config import RunConfig
 from .corruption import blockwise_mask, span_infill
 from .model import (SPECIALS, DuVlgModel, decode_forward_batch, encode_batch,
@@ -41,10 +41,10 @@ class TaskBatch:
 
     kind: TaskKind
     enc_text: list | None  # token ids per example
-    enc_patches: list | None  # PatchSequence per example
-    enc_patch_mask: list | None  # PatchMask per example
+    enc_patches: list | None  # [n_patches x d_feat] features per example
+    enc_patch_mask: list | None  # [rows x cols] bool grid per example, True where masked
     targets: list  # unified ids with bracket prefix/suffix
-    clean_features: list | None  # PatchSequence of the clean image
+    clean_features: list | None  # features of the clean image
     clean_visual: list | None  # visual token ids without brackets
 
     def __len__(self):
@@ -71,9 +71,10 @@ def build_task_batch(examples, kind: TaskKind, rng: np.random.Generator,
         targets = [np.concatenate(([SPECIALS.bos], text, [SPECIALS.eos])) for text in enc_text]
 
     if kind is TaskKind.DAE_IMAGE:
-        enc_mask = [blockwise_mask(*f.grid_dims, cfg.image_mask_rate, rng,
-                                   min_block=cfg.min_block, max_block=cfg.max_block,
-                                   aspect_min=cfg.aspect_min) for f in feats]
+        enc_mask = [blockwise_mask(*patch_grid_dims(ex.image, model.featurizer.patch_size),
+                                   cfg.image_mask_rate, rng, min_block=cfg.min_block,
+                                   max_block=cfg.max_block, aspect_min=cfg.aspect_min)
+                    for ex in examples]
     elif kind is TaskKind.DAE_TEXT:
         enc_text = [span_infill(text, cfg.text_mask_rate, cfg.span_lambda, rng,
                                 mask_id=SPECIALS.mask).corrupted for text in enc_text]
@@ -112,8 +113,7 @@ def loss_commitment(batch: TaskBatch, model: DuVlgModel) -> Tensor:
     """
     if batch.kind not in IMAGE_TARGET_KINDS:
         raise ValueError(f"commitment loss undefined for {batch.kind}")
-    feats = Tensor(np.stack([f.features.values for f in batch.clean_features]))
-    proj = ad.stop_gradient(ad.matmul(feats, model.patch_proj))
+    proj = ad.stop_gradient(ad.matmul(Tensor(np.stack(batch.clean_features)), model.patch_proj))
     b, n, d = proj.shape
     emb = ad.gather_rows(model.embed,
                          visual_to_unified(np.concatenate(batch.clean_visual), model.cfg))

@@ -147,6 +147,22 @@ def test_pretrain_unplaceable_mask_block_fails_in_one_line(tmp_path, data_file, 
     assert not ckpt.exists()
 
 
+def test_pretrain_refuses_an_overlong_caption_at_load(tmp_path, capsys):
+    # four blocks caption in 27 words; training used to stop at whichever step
+    # first sampled the line, with an error naming neither file nor line
+    data = tmp_path / "pairs.tsv"
+    data.write_text("a red block at center\tred@center\n"
+                    "a red block at top left and a green block at top right and a blue block "
+                    "at bottom left and a black block at bottom right\t"
+                    "red@top-left;green@top-right;blue@bottom-left;black@bottom-right\n")
+    ckpt = tmp_path / "long.ckpt"
+    rc = cli_dispatch(["pretrain", "--data", str(data), "--steps", "30", "--out", str(ckpt)]
+                      + SMALL)
+    assert rc == 1
+    _one_error_line(capsys, f"{data}:2: 27 text tokens exceeds max_text_len 24")
+    assert not ckpt.exists()
+
+
 def test_unplaceable_mask_block_is_refused_before_building(tmp_path, data_file, capsys,
                                                           monkeypatch):
     # without inpainting steps (p_dae=0) such a run used to exit 0 and save a

@@ -76,7 +76,7 @@ def test_dataset_file_roundtrip(tmp_path, cb, vocab):
     examples = d.gen_dataset(25, 6, cb, (8, 8), vocab)
     path = tmp_path / "pairs.tsv"
     d.save_dataset(examples, path, vocab)
-    loaded = d.load_dataset(path, cb, (8, 8), vocab)
+    loaded = d.load_dataset(path, cb, (8, 8), vocab, 24)
     assert len(loaded) == len(examples)
     for ea, eb in zip(examples, loaded):
         assert np.array_equal(ea.image.pixels, eb.image.pixels)
@@ -89,10 +89,10 @@ def test_dataset_file_rejects_bad_lines(tmp_path, cb, vocab):
     path = tmp_path / "bad.tsv"
     path.write_text("a red block at top left\n")
     with pytest.raises(ValueError):
-        d.load_dataset(path, cb, (8, 8), vocab)
+        d.load_dataset(path, cb, (8, 8), vocab, 24)
     path.write_text("a red block at top left\tmauve@top-left\n")
     with pytest.raises(ValueError):
-        d.load_dataset(path, cb, (8, 8), vocab)
+        d.load_dataset(path, cb, (8, 8), vocab, 24)
 
 
 def test_dataset_file_errors_name_the_line(tmp_path, cb, vocab):
@@ -101,10 +101,28 @@ def test_dataset_file_errors_name_the_line(tmp_path, cb, vocab):
     path.write_text(good + "a red block at center\tred@nowhere\n")
     message = f"{path}:2: bad block spec 'red@nowhere'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        d.load_dataset(path, cb, (8, 8), vocab)
+        d.load_dataset(path, cb, (8, 8), vocab, 24)
     path.write_text(good + good + "a red block at center\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected"):
-        d.load_dataset(path, cb, (8, 8), vocab)
+        d.load_dataset(path, cb, (8, 8), vocab, 24)
+    # a caption that cannot describe its image: a block painted over, a second
+    # caption for one image, and more words than the model reads
+    four = ("a red block at top left and a green block at top right and a blue block at "
+            "bottom left and a black block at bottom right\t"
+            "red@top-left;green@top-right;blue@bottom-left;black@bottom-right")
+    order = "blocks must sit at distinct positions in the order top-left, top-right"
+    for line, error in (
+            ("a red block at center and a blue block at center\tred@center;blue@center", order),
+            ("a red block at center and a blue block at top left\tred@center;blue@top-left",
+             order),
+            (four, "27 text tokens exceeds max_text_len 24$")):
+        path.write_text(good + line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {error}"):
+            d.load_dataset(path, cb, (8, 8), vocab, 24)
+    # the same blocks in the order gen_dataset writes load
+    path.write_text(good + "a blue block at top left and a red block at center\t"
+                    "blue@top-left;red@center\n")
+    assert len(d.load_dataset(path, cb, (8, 8), vocab, 24)) == 2
 
 
 def test_split_disjoint_and_deterministic(cb, vocab):

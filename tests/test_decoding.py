@@ -365,7 +365,7 @@ def test_pick_rejects_beam():
     ("length_norm", float("inf"), "length_norm must be finite"),
     ("length_norm", -float("inf"), "length_norm must be finite"),
 ])
-def test_decode_config_refuses_non_finite_settings(field, value, text):
+def test_run_config_refuses_non_finite_decoding_settings(field, value, text):
     # temperature=nan passed a "<= 0" check, and length_norm=nan made beam
     # search prefer the empty caption
     with pytest.raises(ValueError, match=text):

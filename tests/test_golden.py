@@ -60,7 +60,8 @@ def fingerprints(tmp_path_factory):
 
     loaded = ck.load_checkpoint(ckpt)
     model, cfg = loaded.model, loaded.config
-    examples = dat.load_dataset(data, model.codebook, cfg.grid_dims(), loaded.vocab)
+    examples = dat.load_dataset(data, model.codebook, cfg.grid_dims(), loaded.vocab,
+                                cfg.max_text_len)
     for strategy in ("beam", "greedy", "nucleus", "topk"):
         tokens = dec.caption_image(model, examples[0].image, cfg, strategy,
                                    np.random.default_rng(11))

@@ -5,7 +5,6 @@ from duvlg import autodiff as ad
 from duvlg.autodiff import Tensor
 from duvlg import model as m
 from duvlg.codec import ImageGrid, PatchFeaturizer
-from duvlg.corruption import PatchMask
 from duvlg.model import SPECIALS, ModelConfig, N_SPECIALS
 
 
@@ -53,9 +52,15 @@ def test_encode_rejects_overlength():
         m.encode(model, patches=_patches(5))
 
 
+def test_encode_batch_refuses_unequal_patch_counts():
+    model = _tiny_model()
+    with pytest.raises(ValueError):
+        m.encode_batch(model, None, [_patches(4), _patches(3)], None)
+
+
 def test_fully_masked_patches_ignore_pixels():
     model = _tiny_model()
-    mask = PatchMask((1, 4), np.ones((1, 4), dtype=bool))
+    mask = np.ones((1, 4), dtype=bool)
     a = m.encode(model, patches=_patches(4, seed=1), patch_mask=mask)
     b = m.encode(model, patches=_patches(4, seed=2), patch_mask=mask)
     assert np.array_equal(a.values, b.values)

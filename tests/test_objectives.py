@@ -46,7 +46,7 @@ def test_dae_image_batch_layout(setup):
     model, batch = _batch(setup, TaskKind.DAE_IMAGE)
     for i in range(len(batch)):
         assert batch.enc_text[i] is not None  # clean caption context
-        assert batch.enc_patch_mask[i].count >= math.ceil(0.5 * 16)
+        assert batch.enc_patch_mask[i].sum() >= math.ceil(0.5 * 16)
         assert len(batch.targets[i]) == 16 + 2
         assert batch.targets[i][0] == SPECIALS.boi
         assert batch.targets[i][-1] == SPECIALS.eoi
@@ -113,7 +113,7 @@ def test_init_loss_near_uniform(setup, kind):
 def test_commitment_zero_when_rows_match(setup):
     model, batch = _batch(setup, TaskKind.MT_T2I, n=2)
     for feats, vis in zip(batch.clean_features, batch.clean_visual):
-        proj = feats.features.values @ model.patch_proj.values
+        proj = feats @ model.patch_proj.values
         model.embed.values[mdl.visual_to_unified(vis, CFG)] = proj
     assert obj.loss_commitment(batch, model).item() == pytest.approx(0.0, abs=1e-24)
 
@@ -148,7 +148,7 @@ def test_commitment_uses_clean_features(setup):
     model, batch = _batch(setup, TaskKind.DAE_IMAGE, n=2)
     for i in range(len(batch)):
         assert batch.clean_features[i] is batch.enc_patches[i]
-        assert batch.enc_patch_mask[i].count > 0
+        assert batch.enc_patch_mask[i].sum() > 0
     val = obj.loss_commitment(batch, model).item()
     assert np.isfinite(val) and val > 0
 
@@ -252,7 +252,7 @@ def test_batched_commitment_matches_loop(setup):
     batched = obj.loss_commitment(batch, model).item()
     total, n_pos = 0.0, 0
     for feats, vis in zip(batch.clean_features, batch.clean_visual):
-        proj = feats.features.values @ model.patch_proj.values
+        proj = feats @ model.patch_proj.values
         emb = model.embed.values[mdl.visual_to_unified(vis, CFG)]
         total += ((proj - emb) ** 2).sum()
         n_pos += len(vis)
