@@ -11,25 +11,22 @@ File layout (all integers little-endian):
             manifest order: parameters first, then Adam first/second moments
 
 Loading rebuilds the model from the stored config (the frozen featurizer
-and codebook regenerate from their named seeds) and overwrites every
-parameter buffer byte-for-byte.  Adam's settings are the stored config's;
-older headers also stored them under "optim", and those copies are ignored.
-Files written while the tied embedding was two parameters, ``text_embed``
-over ``visual_embed_dec``, still load: the two records' bytes, back to back,
-are those of the one ``embed`` record.
+and codebook regenerate from their named seeds), requires the stored
+manifest to equal the rebuilt model's, and reads every record into its
+buffer byte-for-byte.  Adam's settings are the stored config's; older
+headers also stored them under "optim", and those copies are ignored.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, build_model, config_dict, config_from_dict
+from .config import ConfigError, RunConfig, build_model, config_dict, config_from_dict
 from .data import TextVocab
 from .model import DuVlgModel
 from .optim import OptimState
@@ -84,13 +81,6 @@ def _restore_rng(path, state: dict) -> np.random.Generator:
 _HEADER_KEYS = ("config", "step", "rng_state", "optim", "records")
 
 
-def _is_record(r) -> bool:
-    """A manifest entry [name, shape] whose axes are positive integers (no
-    parameter or moment has an empty axis; a scalar's shape is [])."""
-    return (isinstance(r, list) and len(r) == 2 and isinstance(r[0], str)
-            and isinstance(r[1], list) and all(type(n) is int and n >= 1 for n in r[1]))
-
-
 def _check_header(path, header):
     """Every field ``load_checkpoint`` reads is present, with the type it needs,
     and the step counts are in range."""
@@ -108,27 +98,25 @@ def _check_header(path, header):
         if type(count) is not int or not 0 <= count < 2**63:
             raise CheckpointError(
                 f"{path}: header {name!r} must be an integer in [0, 2**63), got {count}")
-    if not isinstance(header["records"], list) or not all(map(_is_record, header["records"])):
-        raise CheckpointError(f"{path}: header 'records' is not a list of [name, shape] pairs")
+
+
+def _records(model: DuVlgModel, optim: OptimState) -> list:
+    """The (name, array) pairs in file order: parameters, then Adam's first
+    and second moments, zeros for moments not yet allocated."""
+    records = [(name, p.values) for name, p in model.named_parameters()]
+    for kind, table in (("m", optim.m), ("v", optim.v)):
+        for name, p in model.named_parameters():
+            buf = table[name] if name in table else np.zeros_like(p.values)
+            records.append((f"adam.{kind}.{name}", buf))
+    return records
 
 
 def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
                     rng: np.random.Generator, step: int, cfg: RunConfig):
     """Atomic write (temp file + rename).  Non-finite parameters or Adam
     moments raise ``CheckpointError`` before any file is opened."""
-    records = []
-    buffers = []
-    for name, p in model.named_parameters():
-        records.append([name, list(p.values.shape)])
-        buffers.append(p.values)
-    for kind, table in (("m", optim.m), ("v", optim.v)):
-        for name, p in model.named_parameters():
-            buf = table.get(name)
-            if buf is None:
-                buf = np.zeros_like(p.values)
-            records.append([f"adam.{kind}.{name}", list(buf.shape)])
-            buffers.append(buf)
-    bad = [name for (name, _), buf in zip(records, buffers) if not np.isfinite(buf).all()]
+    records = _records(model, optim)
+    bad = [name for name, buf in records if not np.isfinite(buf).all()]
     if bad:
         raise CheckpointError(f"{path}: not saved, {len(bad)} records hold non-finite "
                               f"values (first {bad[0]!r})")
@@ -138,7 +126,7 @@ def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
         "step": int(step),
         "rng_state": _rng_state(rng),
         "optim": {"step_count": optim.step_count},
-        "records": records,
+        "records": [[name, list(buf.shape)] for name, buf in records],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp"
@@ -146,15 +134,15 @@ def save_checkpoint(path, model: DuVlgModel, optim: OptimState,
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)
-        for buf in buffers:
+        for _, buf in records:
             fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
-    """Reads one record at a time: a buffer of the whole file would raise peak
-    memory by the file's size, and with heap trimming off (``autodiff``)
-    leave a hole that size in the heap."""
+    """Reads each record straight into its buffer: a buffer of the whole file
+    would raise peak memory by the file's size, and with heap trimming off
+    (``autodiff``) leave a hole that size in the heap."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         fixed = fh.read(len(MAGIC) + 8)
@@ -174,37 +162,31 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
         _check_header(path, header)
         rng = _restore_rng(path, header["rng_state"])
-        cfg = config_from_dict(header["config"])
-        model, vocab = build_model(cfg)
+        try:
+            cfg = config_from_dict(header["config"])
+            model, vocab = build_model(cfg)
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         optim = OptimState(step_count=header["optim"]["step_count"])
-
-        arrays = {}
-        for name, shape in header["records"]:
-            shape = tuple(shape)
-            nbytes = 8 * math.prod(shape)
-            if size < fh.tell() + nbytes:
-                raise TruncatedCheckpointError(f"{path}: record {name!r} is cut short")
-            arrays[name] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape).copy()
-        if fh.tell() != size:
-            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes")
-    for pre in ("", "adam.m.", "adam.v."):  # the two-record layout (module docstring)
-        top, bottom = (arrays.pop(f"{pre}{n}", None) for n in ("text_embed", "visual_embed_dec"))
-        if top is not None and bottom is not None and top.ndim == bottom.ndim == 2 \
-                and top.shape[1] == bottom.shape[1]:
-            arrays.setdefault(f"{pre}embed", np.concatenate((top, bottom)))
-
-    for name, p in model.named_parameters():
-        if name not in arrays:
-            raise CheckpointError(f"{path}: missing parameter record {name!r}")
-        if arrays[name].shape != p.values.shape:
-            raise RecordShapeError(
-                f"{path}: {name!r} has shape {arrays[name].shape}, model wants {p.values.shape}")
-        p.values[...] = arrays[name]
-        m, v = arrays.get(f"adam.m.{name}"), arrays.get(f"adam.v.{name}")
-        if m is None or v is None:
-            raise CheckpointError(f"{path}: missing optimizer moments for {name!r}")
-        optim.m[name] = m
-        optim.v[name] = v
+        for name, p in model.named_parameters():
+            optim.m[name], optim.v[name] = np.zeros_like(p.values), np.zeros_like(p.values)
+        records = _records(model, optim)
+        manifest = [[name, list(buf.shape)] for name, buf in records]
+        if header["records"] != manifest:
+            got = header["records"] if isinstance(header["records"], list) else [header["records"]]
+            i = next((i for i, (a, b) in enumerate(zip(got, manifest)) if a != b),
+                     min(len(got), len(manifest)))
+            entry, want = (r[i] if i < len(r) else "no record" for r in (got, manifest))
+            raise RecordShapeError(f"{path}: manifest entry {i} is {entry}, the model's is {want}")
+        data, need = size - fh.tell(), sum(buf.nbytes for _, buf in records)
+        if data < need:
+            raise TruncatedCheckpointError(f"{path}: {data} data bytes, the records need {need}")
+        if data > need:
+            raise CheckpointError(f"{path}: {data - need} trailing bytes")
+        for _, buf in records:
+            fh.readinto(buf)
+            if buf.dtype != np.dtype("<f8"):  # a big-endian host
+                buf.byteswap(inplace=True)
 
     return LoadedCheckpoint(model=model, optim=optim, rng=rng, step=header["step"],
                             config=cfg, vocab=vocab)

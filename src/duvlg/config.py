@@ -193,8 +193,6 @@ _TYPES = {"int": int, "float": (int, float), "bool": bool}
 def config_from_dict(d: dict) -> RunConfig:
     """RunConfig from a stored dict (a checkpoint header); unknown keys and
     values of the wrong type are errors."""
-    # older headers carry "dropout", a key that never had an effect
-    d = {k: v for k, v in d.items() if k != "dropout"}
     unknown = set(d) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")

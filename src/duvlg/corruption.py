@@ -125,15 +125,6 @@ def span_infill(tokens, rate: float, lam: float, rng: np.random.Generator,
         n_covered += length
         n_draws += 1
 
-    out = []
-    i = 0
-    while i < n:
-        if covered[i]:
-            out.append(mask_id)
-            while i < n and covered[i]:
-                i += 1
-        else:
-            out.append(int(original[i]))
-            i += 1
-    return CorruptedText(corrupted=np.asarray(out, dtype=np.int64),
-                         covered=n_covered, n_draws=n_draws)
+    starts = covered & ~np.concatenate(([False], covered[:-1]))
+    out = np.where(covered, mask_id, original)[~covered | starts]
+    return CorruptedText(corrupted=out, covered=n_covered, n_draws=n_draws)

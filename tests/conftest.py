@@ -3,6 +3,8 @@ import struct
 
 import pytest
 
+from duvlg import checkpoint as ck
+
 
 @pytest.fixture()
 def edit_header():
@@ -14,6 +16,6 @@ def edit_header():
         header = json.loads(blob[17:17 + hlen])
         edit(header)
         new = json.dumps(header, sort_keys=True).encode()
-        dst.write_bytes(blob[:9] + struct.pack("<II", 1, len(new)) + new + blob[17 + hlen:])
+        dst.write_bytes(blob[:9] + struct.pack("<II", ck.VERSION, len(new)) + new + blob[17 + hlen:])
 
     return rewrite

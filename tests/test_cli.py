@@ -301,6 +301,9 @@ def test_set_applies_to_the_checkpoint_config(tmp_path, data_file, capsys, comma
 @pytest.mark.parametrize("edit, text", [
     (lambda h: h.pop("optim"), "header lacks ['optim']"),
     (lambda h: h["config"].update(batch_size="x"), "bad value 'x' for batch_size"),
+    (lambda h: h["config"].update(lr=-1.0), "lr must be finite and > 0, got -1.0"),
+    (lambda h: h["config"].update(n_heads=3), "d_model 16 not divisible by n_heads 3"),
+    (lambda h: h["config"].update(dropout=0.0), "unknown config keys ['dropout']"),
 ])
 def test_bad_checkpoint_header_fails_in_one_line(tmp_path, data_file, capsys, edit_header,
                                                  edit, text):
@@ -312,7 +315,7 @@ def test_bad_checkpoint_header_fails_in_one_line(tmp_path, data_file, capsys, ed
     capsys.readouterr()
     rc = cli_dispatch(["eval", "--ckpt", str(bad), "--data", str(data_file)])
     assert rc == 1
-    _one_error_line(capsys, text)
+    _one_error_line(capsys, f"error: {bad}: {text}")
 
 
 def test_resume_refuses_out_of_range_step_count(tmp_path, data_file, capsys, edit_header,

@@ -1,3 +1,5 @@
+import json
+import math
 import re
 import struct
 
@@ -8,7 +10,7 @@ from duvlg import checkpoint as ck
 from duvlg import config as cf
 from duvlg import optim as op
 from duvlg.config import RunConfig, apply_overrides, build_model, format_config, load_config
-from duvlg.data import gen_dataset
+from duvlg.data import TextVocab, gen_dataset
 
 
 SMALL = ["d_model=16", "n_heads=2", "d_ff=32", "image_size=16", "codebook_size=16",
@@ -162,9 +164,6 @@ def test_checkpoint_error_taxonomy(tmp_path):
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
-    import json
-    import struct
-
     cfg = _small_cfg()
     model, _ = build_model(cfg)
     optim = op.OptimState()
@@ -179,7 +178,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
             rec[1] = [rec[1][1], rec[1][0]]
     new_header = json.dumps(header, sort_keys=True).encode()
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(blob[:9] + struct.pack("<II", 1, len(new_header)) + new_header
+    bad.write_bytes(blob[:9] + struct.pack("<II", ck.VERSION, len(new_header)) + new_header
                     + blob[17 + hlen:])
     with pytest.raises(ck.RecordShapeError):
         ck.load_checkpoint(bad)
@@ -202,48 +201,6 @@ def _saved(tmp_path):
     ck.save_checkpoint(path, model, op.OptimState(),
                        np.random.default_rng(0), 0, cfg)
     return path, model, cfg
-
-
-def test_checkpoint_with_retired_dropout_key_loads(tmp_path, edit_header):
-    # headers written before the dropout key was removed still load, unchanged
-    path, model, cfg = _saved(tmp_path)
-    old = tmp_path / "old.ckpt"
-    edit_header(path, old, lambda h: h["config"].update(dropout=0.0))
-    loaded = ck.load_checkpoint(old)
-    assert loaded.config == cfg
-    for (na, pa), (_, pb) in zip(model.named_parameters(), loaded.model.named_parameters()):
-        assert pa.values.tobytes() == pb.values.tobytes(), na
-
-
-def test_checkpoint_in_two_table_layout_loads(tmp_path, edit_header):
-    # before the tied embedding was one parameter, it was saved as two
-    # records, text_embed over visual_embed_dec, whose bytes are embed's
-    cfg = _small_cfg()
-    model, _ = build_model(cfg)
-    optim = op.OptimState()
-    op.pretrain(_dataset(cfg, model), model, 2, cfg, np.random.default_rng(0), optim=optim)
-    path, old = tmp_path / "m.ckpt", tmp_path / "old.ckpt"
-    ck.save_checkpoint(path, model, optim, np.random.default_rng(0), 2, cfg)
-    split = model.cfg.first_visual_id
-
-    def two_records(header):
-        records = []
-        for name, shape in header["records"]:
-            if name in ("embed", "adam.m.embed", "adam.v.embed"):
-                pre = name[:-len("embed")]
-                records += [[pre + "text_embed", [split, shape[1]]],
-                            [pre + "visual_embed_dec", [shape[0] - split, shape[1]]]]
-            else:
-                records.append([name, shape])
-        header["records"] = records
-
-    edit_header(path, old, two_records)
-    assert old.read_bytes().count(b'"visual_embed_dec"') == 1
-    loaded = ck.load_checkpoint(old)
-    for name, p in loaded.model.named_parameters():
-        assert p.values.tobytes() == model.params[name].values.tobytes(), name
-        assert loaded.optim.m[name].tobytes() == optim.m[name].tobytes(), name
-        assert loaded.optim.v[name].tobytes() == optim.v[name].tobytes(), name
 
 
 def test_checkpoint_with_adam_settings_in_its_header_loads(tmp_path, edit_header):
@@ -269,12 +226,49 @@ def test_checkpoint_with_adam_settings_in_its_header_loads(tmp_path, edit_header
 
 @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**32 + 1, 2**32 - 1]])
 def test_record_larger_than_int64_bytes_is_truncated(tmp_path, edit_header, shape):
-    # the element count used to wrap in int64 to a 0-byte record, and numpy's
-    # reshape raised instead of an error naming the file
+    # the element count used to wrap in int64 to a 0-byte record; sizes now
+    # come from the rebuilt model, so the shape is refused as not the model's
     path, _, _ = _saved(tmp_path)
     bad = tmp_path / "bad.ckpt"
     edit_header(path, bad, lambda h: h["records"].__setitem__(0, ["patch_proj", shape]))
-    with pytest.raises(ck.TruncatedCheckpointError, match="'patch_proj' is cut short"):
+    with pytest.raises(ck.RecordShapeError, match=re.escape(f"{bad}: ") + ".*'patch_proj'"):
+        ck.load_checkpoint(bad)
+
+
+def _embed_in_two_records(header):
+    # before the tied embedding was one parameter, it was saved as two
+    # records, text_embed over visual_embed_dec, whose bytes are embed's
+    split = cf.to_model_config(_small_cfg(), TextVocab()).first_visual_id
+    records = []
+    for name, shape in header["records"]:
+        if name in ("embed", "adam.m.embed", "adam.v.embed"):
+            pre = name[:-len("embed")]
+            records += [[pre + "text_embed", [split, shape[1]]],
+                        [pre + "visual_embed_dec", [shape[0] - split, shape[1]]]]
+        else:
+            records.append([name, shape])
+    header["records"] = records
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["records"].append(["extra", [3]]),
+    lambda h: h["records"].append(h["records"][0]),  # a second "embed"
+    lambda h: h["records"].insert(1, h["records"].pop(0)),
+    _embed_in_two_records,
+    lambda h: h["config"].update(dropout=0.0),
+], ids=["extra_record", "embed_twice", "swapped", "two_record_embed", "retired_dropout_key"])
+def test_manifest_that_is_not_the_models_is_refused(tmp_path, edit_header, edit):
+    # each of these used to load: an extra record was read and ignored, a
+    # second embed record overwrote the first, and so on
+    path, _, _ = _saved(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    edit_header(path, bad, edit)
+    # zeros for the records an edit adds, so that only the manifest is wrong
+    blob = bad.read_bytes()
+    hlen = struct.unpack_from("<II", blob, 9)[1]
+    need = sum(8 * math.prod(shape) for _, shape in json.loads(blob[17:17 + hlen])["records"])
+    bad.write_bytes(blob + bytes(need - (len(blob) - 17 - hlen)))
+    with pytest.raises(ck.CheckpointError, match=re.escape(f"{bad}: ")):
         ck.load_checkpoint(bad)
 
 
@@ -326,7 +320,7 @@ def test_header_integer_past_the_digit_limit_names_the_file(tmp_path, edit_heade
     blob = bad.read_bytes()
     hlen = struct.unpack_from("<II", blob, 9)[1]
     header = blob[17:17 + hlen].replace(b'"STEP"', b"9" * 5000)
-    bad.write_bytes(blob[:9] + struct.pack("<II", 1, len(header)) + header + blob[17 + hlen:])
+    bad.write_bytes(blob[:9] + struct.pack("<II", ck.VERSION, len(header)) + header + blob[17 + hlen:])
     with pytest.raises(ck.CheckpointError, match=re.escape(f"{bad}: unreadable header")):
         ck.load_checkpoint(bad)
 
