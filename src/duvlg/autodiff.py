@@ -6,6 +6,16 @@ the graph once in decreasing construction order, which is a valid
 topological order because an output is always created after its inputs.
 Accumulation order is therefore fixed and bitwise reproducible.
 
+A product with one weight matrix (``matmul`` against a 2-D right operand,
+and ``linear``) is one GEMM over all rows of the left operand, in forward
+and in that operand's gradient, so BLAS may split it across threads.  The
+weight's gradient stays one GEMM per leading index, summed in index order:
+folded, it would contract over every row, and its bits then changed with the
+BLAS thread count.  The folded products contract over a model width, and at
+the default model's shapes their bits are the same at 1 and 2 threads: a
+run's bits depend on the BLAS build, not on its thread count
+(``tests/test_blas_threads.py``).
+
 Inside ``no_grad()`` no graph is built at all: every op returns a plain
 leaf, so inference holds no parents, closures or gradient buffers.
 
@@ -217,7 +227,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _op(out_vals, (a, b), bw)
 
 
+def _fold(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for ``x`` [..., n] and one matrix ``w`` [n x m], as one GEMM
+    over all rows of ``x`` instead of one per leading index."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` with numpy's broadcasting of batch dims.  When ``b`` is one
+    matrix, the product and ``a``'s gradient are one GEMM over all rows of
+    ``a``; ``b``'s gradient stays one GEMM per leading index, summed in index
+    order (the module docstring says why)."""
     if a.values.ndim < 2 or b.values.ndim < 2:
         raise ShapeError(f"matmul needs matrices, got {a.shape} @ {b.shape}")
     if a.values.shape[-1] != b.values.shape[-2]:
@@ -228,11 +248,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             np.broadcast_shapes(a.values.shape[:-2], b.values.shape[:-2])
         except ValueError:
             raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}") from None
-    out_vals = a.values @ b.values
+    prod = _fold if b.values.ndim == 2 else np.matmul
+    out_vals = prod(a.values, b.values)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g @ b.values.swapaxes(-1, -2))
+            _accum(a, prod(g, b.values.swapaxes(-1, -2)))
         if b.requires_grad:
             _accum(b, a.values.swapaxes(-1, -2) @ g)
 
@@ -242,15 +263,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``add(matmul(x, w), b)`` as one node and one output buffer (the bias
     is added in place), bitwise equal to that chain in forward and backward:
-    each parent gets the same single contribution the chain gives it."""
+    each parent gets the same single contribution the chain gives it.  Like
+    ``matmul`` against one matrix, the product and ``x``'s gradient are one
+    GEMM over all rows, and ``w``'s gradient is one GEMM per leading index,
+    summed in index order."""
     if x.values.ndim < 2 or w.values.ndim != 2 or x.values.shape[-1] != w.values.shape[0]:
         raise ShapeError(f"linear needs [..., n] @ [n x m], got {x.shape} @ {w.shape}")
-    out_vals = x.values @ w.values
+    out_vals = _fold(x.values, w.values)
     out_vals += b.values
 
     def bw(g):
         if x.requires_grad:
-            _accum(x, g @ w.values.swapaxes(-1, -2))
+            _accum(x, _fold(g, w.values.swapaxes(-1, -2)))
         if w.requires_grad:
             _accum(w, x.values.swapaxes(-1, -2) @ g)
         _accum(b, g)

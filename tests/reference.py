@@ -19,6 +19,24 @@ def tanh(a: Tensor) -> Tensor:
     return _op(out_vals, (a,), bw)
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` as numpy's batched product, one GEMM per leading index, in
+    forward and backward: what ``ad.matmul`` and ``ad.linear`` computed before
+    they folded all rows into one GEMM against a 2-D right operand."""
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g @ b.values.swapaxes(-1, -2))
+        if b.requires_grad:
+            _accum(b, a.values.swapaxes(-1, -2) @ g)
+
+    return _op(a.values @ b.values, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The ``add(matmul)`` chain over the per-example product above."""
+    return ad.add(matmul(x, w), b)
+
+
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by row-max subtraction; the
     reference ``attention`` is tested against."""

@@ -535,6 +535,44 @@ def test_linear_bitwise_equals_unfused_chain(case):
         assert np.array_equal(a, r)
 
 
+_FOLD_SHAPES = {"3d": (4, 7, 32), "2d": (7, 32), "one row each": (16, 1, 32),
+                "sliced": (4, 14, 32), "transposed w": (4, 7, 32),
+                "no batch rows": (0, 7, 32), "no time rows": (4, 0, 32)}
+
+
+@pytest.mark.parametrize("case", list(_FOLD_SHAPES))
+@pytest.mark.parametrize("op", ["matmul", "linear"])
+def test_folded_products_match_per_example_reference(op, case):
+    """One GEMM over all rows against the per-example GEMMs it replaced:
+    weight and bias gradients keep their bits, the output and the input
+    gradient their value, and a 2-D input its bits."""
+    rng = np.random.default_rng(11)
+    xv = rng.normal(size=_FOLD_SHAPES[case])
+    if case == "sliced":  # a non-contiguous view
+        xv = xv[:, ::2]
+    wv = rng.normal(size=(24, 32)).T if case == "transposed w" else rng.normal(size=(32, 24))
+    bv = rng.normal(size=24)
+    upstream = rng.normal(size=xv.shape[:-1] + (24,))
+    runs = []
+    for fold in (True, False):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xv, wv, bv))
+        if op == "matmul":
+            out = (ad.matmul if fold else reference.matmul)(x, w)
+        else:
+            out = (ad.linear if fold else reference.linear)(x, w, b)
+        ad.backward(ad.mul(out, Tensor(upstream)).sum())
+        runs.append((out.values, x.grad, w.grad, b.grad))
+    (out, gx, gw, gb), (ref_out, ref_gx, ref_gw, ref_gb) = runs
+    assert np.array_equal(gw, ref_gw) and (op == "matmul" or np.array_equal(gb, ref_gb))
+    if case == "2d":
+        assert np.array_equal(out, ref_out) and np.array_equal(gx, ref_gx)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=0)
+    if case.startswith("no "):
+        assert out.shape == xv.shape[:-1] + (24,) and gx.shape == xv.shape
+        assert gw.shape == wv.shape and not gw.any()
+
+
 def test_linear_gradcheck_and_shapes():
     rng = np.random.default_rng(9)
     x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)

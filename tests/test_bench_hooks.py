@@ -93,7 +93,7 @@ def test_one_request_of_every_workload_passes_its_check(workloads, tmp_path):
 # token sequences, rerank index and scores in hex, and the log lines of a
 # pretrain round's first 4 steps
 _PINNED_CAPTION_ROUND = "ecb05edae9cccc322c2558c1aca0a5f0650f354fe91042ba349e79f62c843ee8"
-_PINNED_IMAGINE_REQUEST = "d42d8587f6e913a4d6078753e554619de04d38e3f0dc72cc5a6a1ee6131045a2"
+_PINNED_IMAGINE_REQUEST = "939016f0a3dc5272ca11b8239992ec4ca4f33ac21bf25c8ebe47e7f538c750cf"
 _PINNED_PRETRAIN_STEPS = "51e386053ef0cf12ccad0766bed84070e4813464eaba41d3dc5d818d724a32b2"
 
 
