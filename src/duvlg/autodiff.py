@@ -165,9 +165,13 @@ def _op(values, parents, backward_fn) -> Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
+    """Sum a broadcast gradient back down to the original operand shape.  A
+    vector operand (a bias or a layer-norm gain) collapses all leading rows
+    with one GEMV; any other operand sums its leading axes in index order."""
     if grad.shape == shape:
         return grad
+    if len(shape) == 1 and grad.shape[-1] == shape[0]:
+        return np.ones(grad.size // shape[0]) @ grad.reshape(-1, shape[0])
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -355,15 +359,28 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU with its exact derivative.  Only the tanh is
     kept for backward; ``x * x`` and ``0.5 * (1 + t)`` are recomputed there
-    from the forward's expressions, so the bits are those of keeping them."""
+    from the forward's expressions, so the bits are those of keeping them.
+    The derivative is evaluated in place on two temporaries, in the order of
+    operations of its one-line formula, so its bits are the formula's."""
     x = a.values
     t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * (x * x)))
     out_vals = x * (0.5 * (1.0 + t))
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        d = 0.5 * (1.0 + t) + x * (0.5 * (1.0 - t * t)) * d_inner
-        _accum(a, g * d)
+        d = x * x
+        d *= 3 * 0.044715
+        d += 1.0
+        d *= _GELU_C  # d/dx of the tanh's argument
+        u = t * t
+        np.subtract(1.0, u, out=u)
+        u *= 0.5
+        u *= x
+        u *= d
+        np.add(1.0, t, out=d)
+        d *= 0.5
+        d += u
+        d *= g
+        _accum(a, d)
 
     return _op(out_vals, (a,), bw)
 
@@ -380,8 +397,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     views of the projections, the scores are scaled by 1/sqrt(d/h), and
     ``mask`` is an additive constant (0 or -inf) over them.  Only the softmax
     weights, computed in the scores' own buffer, are kept for backward.
-    Output and gradients are bitwise equal to the chain head split,
-    ``matmul``, ``mul``, ``add``, a row softmax, ``matmul``, head merge."""
+    The output is bitwise equal to the chain head split, ``matmul``, ``mul``,
+    ``add``, a row softmax, ``matmul``, head merge.  The backward takes the
+    softmax's row term ``sum_j dS_ij W_ij`` as ``dO_i . O_i`` per head (equal
+    in exact arithmetic, and a sum over the head width instead of the key
+    length), and scales the q and k gradients instead of the score buffer;
+    its gradients match the chain's to rounding, not to the bit."""
     qs, ks = q.values.shape, k.values.shape
     if len(qs) != 3 or ks != v.values.shape or len(ks) != 3 or qs[2] != ks[2] \
             or ks[0] not in (1, qs[0]) or n_heads < 1 or qs[2] % n_heads:
@@ -407,23 +428,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
 
+    out_vals = merged_matmul(w, vh)
+
     def bw(g):
-        g = heads(g)
         # the chain's order: v, then q, then k (one tensor may be all three)
         if v.requires_grad:
-            _accum(v, merged_matmul(w.swapaxes(-1, -2), g))
+            _accum(v, merged_matmul(w.swapaxes(-1, -2), heads(g)))
         if q.requires_grad or k.requires_grad:
-            ds = g @ vh.swapaxes(-1, -2)
-            ds -= np.add.reduce(ds * w, axis=-1, keepdims=True)
+            ds = heads(g) @ vh.swapaxes(-1, -2)
+            row = np.add.reduce((g * out_vals).reshape(qs[0], qs[1], n_heads, dh), axis=-1)
+            ds -= row.swapaxes(1, 2)[..., None]  # [B x h x Tq x 1]
             ds *= w
-            ds *= scale
             if q.requires_grad:
-                _accum(q, merged_matmul(ds, kh))
-            if k.requires_grad:  # (q^T @ ds)^T, merged by one copy
-                gk = qh.swapaxes(-1, -2) @ ds  # [B x h x dh x Tk]
-                _accum(k, gk.transpose(0, 3, 1, 2).reshape(gk.shape[0], -1, qs[2]))
+                gq = merged_matmul(ds, kh)
+                gq *= scale
+                _accum(q, gq)
+            if k.requires_grad:
+                gk = merged_matmul(ds.swapaxes(-1, -2), qh)
+                gk *= scale
+                _accum(k, gk)
 
-    return _op(merged_matmul(w, vh), (q, k, v), bw)
+    return _op(out_vals, (q, k, v), bw)
 
 
 def _row_mean(v: np.ndarray) -> np.ndarray:
@@ -436,8 +461,11 @@ def _row_mean(v: np.ndarray) -> np.ndarray:
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Zero-mean/unit-variance normalization over last axis, then affine.
-    Forward and backward work in place on the op's own temporaries, in the
-    elementwise order of the ``np.mean`` formulation."""
+    The forward works in place on the op's own temporaries, in the
+    elementwise order of the ``np.mean`` formulation, and is bitwise equal to
+    it.  The backward's two row means, of ``g * gain`` and ``g * gain * y``,
+    are GEMVs of ``g`` and ``g * y`` against the gain over all rows, so its
+    gradients match that formulation to rounding, not to the bit."""
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     x = a.values
@@ -450,16 +478,21 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_vals += bias.values
 
     def bw(g):
-        dy = g * gain.values
-        dyy = dy * y
-        np.multiply(y, _row_mean(dyy), out=dyy)
-        dy -= _row_mean(dy)
-        dy -= dyy
-        dy *= inv
-        _accum(a, dy)
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accum(gain, (g * y).sum(axis=reduce_axes) if reduce_axes else g * y)
-        _accum(bias, g.sum(axis=reduce_axes) if reduce_axes else g)
+        n = g.shape[-1]
+
+        def row_mean(m):  # mean over the last axis of m * gain, one GEMV
+            r = (m.reshape(-1, n) @ gain.values).reshape(m.shape[:-1] + (1,))
+            r /= n
+            return r
+
+        gy = g * y
+        dx = g * gain.values
+        dx -= row_mean(g)
+        dx -= y * row_mean(gy)
+        dx *= inv
+        _accum(a, dx)
+        _accum(gain, gy)
+        _accum(bias, g)
 
     return _op(out_vals, (a, gain, bias), bw)
 

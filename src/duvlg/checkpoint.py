@@ -157,7 +157,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             raise TruncatedCheckpointError(f"{path}: truncated JSON header")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8, bad JSON, or an int past the digit limit
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int past the
+            # digit limit, or arrays nested past the recursion limit
             raise CheckpointError(f"{path}: unreadable header: {exc}") from None
 
         _check_header(path, header)

@@ -271,6 +271,9 @@ def cli_dispatch(argv) -> int:
             op.NonFiniteLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the size and shape it asked for
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 1
 
 
 def main():

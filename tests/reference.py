@@ -1,12 +1,15 @@
-"""Simple reference paths that the library's fast paths are tested against,
-bit for bit.  Each one is the code its fast path replaced, or an op that only
-tests use; none is called by the library."""
+"""Simple reference paths that the library's fast paths are tested against.
+Each one is the code its fast path replaced, or an op that only tests use;
+none is called by the library.  Most are matched bit for bit; the training
+backward of ``attention`` and ``layer_norm`` and the sum behind a vector
+operand's gradient are matched to rounding (``tests/test_autodiff.py`` says
+how closely)."""
 
 import numpy as np
 
 from duvlg import autodiff as ad
 from duvlg import decoding as dec
-from duvlg.autodiff import Tensor, _accum, _op
+from duvlg.autodiff import Tensor, _accum, _op, _row_mean
 from duvlg.model import SPECIALS, decode_forward_batch
 
 
@@ -35,6 +38,110 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The ``add(matmul)`` chain over the per-example product above."""
     return ad.add(matmul(x, w), b)
+
+
+def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """A broadcast gradient summed back to ``shape`` by numpy's reductions
+    over the leading axes, which add the rows one after another: what
+    ``autodiff._unbroadcast`` did for a vector operand before it took one
+    GEMV over all rows."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    """``ad.attention`` as it was before its backward took the row term from
+    ``dO . O``: the row term is ``sum(dS * W)`` over the keys, the score
+    buffer is scaled, and k's gradient is merged by one copy.  Output and
+    gradients are bitwise equal to the unfused chain."""
+    qs = q.values.shape
+    dh = qs[2] // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(x):
+        return x.reshape(x.shape[0], x.shape[1], n_heads, dh).swapaxes(1, 2)
+
+    def merged_matmul(a, b):
+        out = np.empty((a.shape[0], a.shape[2], qs[2]))
+        np.matmul(a, b, out=heads(out))
+        return out
+
+    qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= scale
+    if mask is not None:
+        w += mask
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+
+    def bw(g):
+        g = heads(g)
+        if v.requires_grad:
+            _accum(v, merged_matmul(w.swapaxes(-1, -2), g))
+        if q.requires_grad or k.requires_grad:
+            ds = g @ vh.swapaxes(-1, -2)
+            ds -= np.add.reduce(ds * w, axis=-1, keepdims=True)
+            ds *= w
+            ds *= scale
+            if q.requires_grad:
+                _accum(q, merged_matmul(ds, kh))
+            if k.requires_grad:  # (q^T @ ds)^T, merged by one copy
+                gk = qh.swapaxes(-1, -2) @ ds  # [B x h x dh x Tk]
+                _accum(k, gk.transpose(0, 3, 1, 2).reshape(gk.shape[0], -1, qs[2]))
+
+    return _op(merged_matmul(w, vh), (q, k, v), bw)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``ad.layer_norm`` as it was before its backward took the row means as
+    GEMVs against the gain: ``np.mean``'s row means of ``g * gain`` and of
+    ``g * gain * y``, and the gain and bias gradients as numpy's sequential
+    sums over the leading axes.  Bitwise equal to the ``np.mean``
+    formulation in forward and backward."""
+    x = a.values
+    y = x - _row_mean(x)
+    var = _row_mean(y * y)
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    y *= inv
+    out_vals = y * gain.values
+    out_vals += bias.values
+
+    def bw(g):
+        dy = g * gain.values
+        dyy = dy * y
+        np.multiply(y, _row_mean(dyy), out=dyy)
+        dy -= _row_mean(dy)
+        dy -= dyy
+        dy *= inv
+        _accum(a, dy)
+        _accum(gain, unbroadcast(g * y, gain.values.shape))
+        _accum(bias, unbroadcast(g, bias.values.shape))
+
+    return _op(out_vals, (a, gain, bias), bw)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """``ad.gelu`` with its derivative as the one-line formula it evaluated
+    before the backward worked in place; bitwise equal to it."""
+    x = a.values
+    t = np.tanh(ad._GELU_C * x * (1.0 + 0.044715 * (x * x)))
+
+    def bw(g):
+        d_inner = ad._GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        d = 0.5 * (1.0 + t) + x * (0.5 * (1.0 - t * t)) * d_inner
+        _accum(a, g * d)
+
+    return _op(x * (0.5 * (1.0 + t)), (a,), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:

@@ -84,8 +84,21 @@ def test_layer_norm_gradient():
         assert ad.grad_check(loss, wrt) < 1e-5
 
 
+# A backward that sums in another order than its reference holds to it within
+# this share of the reference's largest entry: a few thousand float64 eps
+# (2.2e-16), far below any change of formula.
+_GRAD_RTOL = 1e-12
+
+
+def _assert_close(got, ref):
+    """``max|got - ref| <= _GRAD_RTOL * max|ref|``, shapes equal."""
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= _GRAD_RTOL * np.max(np.abs(ref), initial=0.0)
+
+
 def _mean_formula_layer_norm(a, gain, bias, eps=1e-5):
-    """The ``np.mean`` formulation ``layer_norm`` must reproduce bit for bit."""
+    """The ``np.mean`` formulation: ``layer_norm``'s forward reproduces it bit
+    for bit, its backward to rounding."""
     x = a.values
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -107,12 +120,14 @@ def _mean_formula_layer_norm(a, gain, bias, eps=1e-5):
 
 @pytest.mark.parametrize("shape", [(7,), (40, 9), (16, 1, 64), (4, 25, 24)])
 def test_layer_norm_bitwise_equals_mean_formula(shape):
+    """The forward is bitwise, the gradients hold to ``_GRAD_RTOL``; the
+    replaced backward (``reference.layer_norm``) is bitwise in both."""
     rng = np.random.default_rng(len(shape))
     values = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[-1])
     gain_v, bias_v = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
     upstream = rng.normal(size=shape)
     results = []
-    for norm in (_mean_formula_layer_norm, ad.layer_norm):
+    for norm in (_mean_formula_layer_norm, reference.layer_norm, ad.layer_norm):
         x = Tensor(values.copy(), requires_grad=True)
         gain = Tensor(gain_v.copy(), requires_grad=True)
         bias = Tensor(bias_v.copy(), requires_grad=True)
@@ -122,8 +137,24 @@ def test_layer_norm_bitwise_equals_mean_formula(shape):
         ad.backward(ad.mul(out, Tensor(upstream)).sum())
         results.append((out.values, x.grad, gain.grad, bias.grad))
         assert np.array_equal(inp.values, 2.0 * values)  # the input is not overwritten
-    for ref, got in zip(*results):
-        assert np.array_equal(ref, got)
+    formula, replaced, got = results
+    assert all(np.array_equal(r, a) for r, a in zip(formula, replaced))
+    assert np.array_equal(got[0], formula[0])
+    for g, r in zip(got[1:], formula[1:]):
+        _assert_close(g, r)
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5, 64)])
+def test_gelu_bitwise_equals_one_line_formula(shape):
+    rng = np.random.default_rng(13)
+    values, upstream = rng.normal(size=shape) * 3.0, rng.normal(size=shape)
+    results = []
+    for op in (reference.gelu, ad.gelu):
+        x = Tensor(values.copy(), requires_grad=True)
+        out = op(ad.mul(x, Tensor(1.0)))  # an interior input
+        ad.backward(ad.mul(out, Tensor(upstream)).sum())
+        results.append((out.values, x.grad))
+    assert all(np.array_equal(r, g) for r, g in zip(*results))
 
 
 def test_cross_entropy_uniform_logits():
@@ -393,14 +424,31 @@ def _assert_same_bits(fused, ref):
         assert (a is None and r is None) or np.array_equal(a, r)
 
 
+def _assert_matches_chain(build, qkv, upstream, masks, needs_grad=(True, True, True)):
+    """``build`` against the unfused chain: the output bit for bit, the same
+    parents given a gradient, and each gradient within ``_GRAD_RTOL``.  The
+    replaced backward (``reference.attention``) still matches it bit for bit."""
+    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, _HEADS, masks),
+                         qkv, upstream, needs_grad)
+    replaced = _run_attention(
+        lambda q, k, v: reference.attention(q, k, v, _HEADS, _combined(masks)),
+        qkv, upstream, needs_grad)
+    _assert_same_bits(replaced, ref)
+    fused = _run_attention(build, qkv, upstream, needs_grad)
+    assert np.array_equal(fused[0], ref[0])
+    assert [g is None for g in fused[1:]] == [g is None for g in ref[1:]]
+    for g, r in zip(fused[1:], ref[1:]):
+        if r is not None:
+            _assert_close(g, r)
+    return fused
+
+
 @pytest.mark.parametrize("case", ["none", "causal", "keys", "causal+keys"])
 def test_attention_bitwise_equals_unfused_chain(case):
     qkv, upstream, cases = _attention_cases()
     masks = cases[case]
-    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, _HEADS, masks), qkv, upstream)
-    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
-                           qkv, upstream)
-    _assert_same_bits(fused, ref)
+    _assert_matches_chain(lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
+                          qkv, upstream, masks)
     if masks:  # with identity values per head the output is the weights themselves
         b, tq, _ = qkv[0].shape
         tk = qkv[1].shape[1]
@@ -418,37 +466,36 @@ def test_attention_bitwise_equals_unfused_chain(case):
 def test_attention_grads_only_the_parents_that_need_one(needs_grad):
     qkv, upstream, cases = _attention_cases()
     masks = cases["causal+keys"]
-    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, _HEADS, masks),
-                         qkv, upstream, needs_grad)
-    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
-                           qkv, upstream, needs_grad)
+    fused = _assert_matches_chain(
+        lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
+        qkv, upstream, masks, needs_grad)
     assert [g is None for g in fused[1:]] == [not r for r in needs_grad]
-    _assert_same_bits(fused, ref)
 
 
 def test_attention_broadcasts_batch_one_keys():
     # cached cross-attention: one encoding's keys [1 x Tk x d] serve every query row
     qkv, upstream, cases = _attention_cases(kv_batch=1)
     masks = cases["causal"]
-    ref = _run_attention(lambda q, k, v: _chain_attention(q, k, v, _HEADS, masks), qkv, upstream)
-    fused = _run_attention(lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)),
-                           qkv, upstream)
+    fused = _assert_matches_chain(
+        lambda q, k, v: ad.attention(q, k, v, _HEADS, _combined(masks)), qkv, upstream, masks)
     assert fused[2].shape == qkv[1].shape and fused[3].shape == qkv[2].shape
-    _assert_same_bits(fused, ref)
 
 
 def test_attention_shared_input_accumulates_in_chain_order():
-    # one tensor as q, k and v gets its three contributions in the chain's order
+    # one tensor as q, k and v gets its three contributions in the chain's
+    # order: the replaced backward to the bit, the fused one to rounding
     qkv, upstream, _ = _attention_cases()
     causal = np.triu(np.full((4, 4), -np.inf), k=1)
     grads = []
     for build in (lambda x: _chain_attention(x, x, x, _HEADS, [causal]),
+                  lambda x: reference.attention(x, x, x, _HEADS, causal),
                   lambda x: ad.attention(x, x, x, _HEADS, causal)):
         x0 = Tensor(qkv[0].copy(), requires_grad=True)
         x = reference.tanh(x0)
         ad.backward(ad.mul(build(x), Tensor(upstream)).sum())
         grads.append(x0.grad)
     assert np.array_equal(grads[0], grads[1])
+    _assert_close(grads[2], grads[0])
 
 
 def test_attention_rejects_mismatched_operands():
@@ -571,6 +618,23 @@ def test_folded_products_match_per_example_reference(op, case):
     if case.startswith("no "):
         assert out.shape == xv.shape[:-1] + (24,) and gx.shape == xv.shape
         assert gw.shape == wv.shape and not gw.any()
+
+
+@pytest.mark.parametrize("grad_shape, shape", [
+    ((40, 9), (9,)), ((4, 25, 24), (24,)), ((16, 1, 64), (64,)), ((0, 5, 6), (6,)),
+    ((3, 5, 1), (1,)), ((4, 3, 5), (3, 5)), ((4, 3, 5), (1, 3, 5)), ((4, 3, 5), (4, 1, 5))])
+def test_vector_gradient_is_one_gemv_over_all_rows(grad_shape, shape):
+    """A vector operand's leading rows collapse in one GEMV, within
+    ``_GRAD_RTOL`` of numpy's sequential sum; any other operand keeps that
+    sum's bits."""
+    grad = np.random.default_rng(12).normal(size=grad_shape)
+    got, ref = ad._unbroadcast(grad, shape), reference.unbroadcast(grad, shape)
+    if len(shape) == 1:
+        gemv = np.ones(grad.size // shape[0]) @ grad.reshape(-1, shape[0])
+        assert np.array_equal(got, gemv)
+        _assert_close(got, ref)
+    else:
+        assert np.array_equal(got, ref)
 
 
 def test_linear_gradcheck_and_shapes():

@@ -94,7 +94,7 @@ def test_one_request_of_every_workload_passes_its_check(workloads, tmp_path):
 # pretrain round's first 4 steps
 _PINNED_CAPTION_ROUND = "ecb05edae9cccc322c2558c1aca0a5f0650f354fe91042ba349e79f62c843ee8"
 _PINNED_IMAGINE_REQUEST = "939016f0a3dc5272ca11b8239992ec4ca4f33ac21bf25c8ebe47e7f538c750cf"
-_PINNED_PRETRAIN_STEPS = "51e386053ef0cf12ccad0766bed84070e4813464eaba41d3dc5d818d724a32b2"
+_PINNED_PRETRAIN_STEPS = "120552babd2f538f1af652bbbcf1d7a7ebba83bbd3eae334bbb2c6dd3e21c078"
 
 
 @pytest.fixture(scope="module")

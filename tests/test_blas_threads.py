@@ -1,10 +1,13 @@
 """Training and decoding give the same bits at 1 and at 2 BLAS threads.
 
 The forward products and input gradients of ``matmul`` and ``linear`` are one
-GEMM over all rows, which OpenBLAS may split across threads; their bits must
-not depend on how many it uses.  The thread count is switched in-process
-through numpy's bundled OpenBLAS, and the test skips where that library or
-its setter is absent.  It pins the default config's shapes, not every shape.
+GEMM over all rows, and a vector operand's gradient and ``layer_norm``'s
+backward row means are one GEMV over all rows.  OpenBLAS may split either
+across threads (a GEMV once it passes about 9k elements); their bits must not
+depend on how many it uses.  The thread count is switched in-process through
+numpy's bundled OpenBLAS, and the test skips where that library or its setter
+is absent.  It pins the default config's shapes, and one GEMV shape larger
+than any of them, not every shape.
 """
 
 import ctypes
@@ -109,3 +112,20 @@ def test_cached_decoding_step_bits_do_not_depend_on_blas_threads(at_threads, set
 
     one, two = at_threads(1, steps), at_threads(2, steps)
     assert all(_same_bits(a, b) for a, b in zip(one, two))
+
+
+def test_vector_gradient_gemvs_do_not_depend_on_blas_threads(at_threads):
+    # [16 x 128 x 64]: 2,048 rows of 64, well past the size OpenBLAS splits
+    rng = np.random.default_rng(4)
+    xv, upstream = rng.normal(size=(16, 128, 64)), rng.normal(size=(16, 128, 64))
+    wv, bv, gain_v = rng.normal(size=(64, 64)), rng.normal(size=64), rng.normal(size=64)
+
+    def grads():
+        x, w, b = (ad.Tensor(a, requires_grad=True) for a in (xv, wv, bv))
+        gain, bias = ad.Tensor(gain_v, requires_grad=True), ad.Tensor(bv, requires_grad=True)
+        out = ad.layer_norm(ad.linear(x, w, b), gain, bias)
+        ad.backward(ad.mul(out, ad.Tensor(upstream)).sum())
+        return [t.grad.copy() for t in (x, w, b, gain, bias)]
+
+    one, two = at_threads(1, grads), at_threads(2, grads)
+    assert all(_same_bits(a, c) for a, c in zip(one, two))

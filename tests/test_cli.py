@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -123,12 +124,14 @@ def test_pretrain_refuses_non_finite_checkpoint(tmp_path, data_file, capsys, mon
 
 
 def test_pretrain_overflowing_gradient_norm_fails_at_the_step(tmp_path, data_file, capsys):
-    # without clipping, lr=1e50 gives a finite step-1 gradient whose square
-    # overflows; Adam's second moment used to turn inf and fail only at the save
+    # without clipping, lr=1e27 gives a finite step-1 gradient whose square
+    # overflows (so does every lr from 1e22 to 1e32; from 1e34 the gradient
+    # itself is non-finite); Adam's second moment used to turn inf and fail
+    # only at the save
     ckpt = tmp_path / "big.ckpt"
     rc, caught = _dispatch_recording_warnings(
         ["pretrain", "--data", str(data_file), "--steps", "6", "--out", str(ckpt),
-         "--set", "lr=1e50", "--set", "clip_norm=0"] + SMALL)
+         "--set", "lr=1e27", "--set", "clip_norm=0"] + SMALL)
     assert rc == 1
     _one_error_line(capsys, "non-finite global gradient norm at step 1")
     assert not ckpt.exists()
@@ -232,6 +235,34 @@ def test_out_of_range_config_fails_before_building(tmp_path, monkeypatch, capsys
     assert rc == 1
     _one_error_line(capsys, setting.split("=")[0] + " must be")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_deeply_nested_checkpoint_header_fails_in_one_line(tmp_path, capsys):
+    # json.loads raised RecursionError, which escaped as a traceback
+    deep = tmp_path / "deep.ckpt"
+    header = b"[" * 200_000 + b"]" * 200_000
+    deep.write_bytes(ck.MAGIC + struct.pack("<II", ck.VERSION, len(header)) + header)
+    rc = cli_dispatch(["caption", "--ckpt", str(deep), "--image", str(tmp_path / "absent")])
+    assert rc == 1
+    _one_error_line(capsys, f"{deep}: unreadable header")
+
+
+def test_out_of_memory_fails_in_one_line(tmp_path, data_file, monkeypatch, capsys):
+    # a model too large to allocate (say --set d_model=16777216) raised
+    # MemoryError out of cli_dispatch; the build is stubbed to raise numpy's
+    # message, so the test allocates nothing
+    message = "Unable to allocate 11.1 GiB for an array with shape (16777216, 88)"
+
+    def too_large(*_args, **_kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("duvlg.cli.build_model", too_large)
+    capsys.readouterr()
+    rc = cli_dispatch(["pretrain", "--data", str(data_file), "--steps", "1",
+                       "--out", str(tmp_path / "out.ckpt")])
+    assert rc == 1
+    _one_error_line(capsys, f"out of memory: {message}")
+    assert not (tmp_path / "out.ckpt").exists()
 
 
 @pytest.mark.parametrize("setting", ["d_model=32", "n_layers_enc=2", "n_layers_dec=2", "n_heads=4",

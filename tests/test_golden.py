@@ -26,9 +26,9 @@ from duvlg.cli import cli_dispatch
 _SETTINGS = ["--set", "seed=7", "--set", "batch_size=4", "--set", "n_samples=4"]
 
 _GOLDEN = {
-    "pretrain_log": "f530e44fce6d891fc3f1abca619624b3928c589e8aebc9285b8279d0e9e1fbcb",
-    "pretrain_ckpt": "d6a09763738de12e32cf71e72910c5ef6e18e77beb7002df887a777ae6a8af7a",
-    "finetune_log": "ec181ca675c94f5f88400f67ac17186dac4aff02495fdd904d38cda2cb71374c",
+    "pretrain_log": "074ac8cf048f37902e84a50a8866ba1467291c04c46306d80bafd10af64c4f20",
+    "pretrain_ckpt": "527f4976a0776ccb475ca7104368edb0b617b0ad293a17514ffbf47533ffdd3f",
+    "finetune_log": "e4eac018f03f2d85d6eacb658df418336938340179d55af9dc1a35346bf5385a",
     "caption_beam": "89e5eb1d11cf87e67f816e4cb325ced7dc33d8adf0cb37547fbf6ddd7beb232c",
     "caption_greedy": "6af1a8776e2340341f968bf6960fc344faca1974dfb595d840a0789e8869c63a",
     "caption_nucleus": "b8ede66e11b8236e76b435c03ef1b80cef7089e8e5355af5f81b4b7f1665f494",
