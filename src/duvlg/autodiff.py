@@ -1,8 +1,13 @@
 """Reverse-mode automatic differentiation on float64 numpy buffers.
 
-Graphs are built eagerly: every operation stores its parent tensors and a
-closure that routes the output gradient back to them.  ``backward`` walks
-the graph once in decreasing construction order, which is a valid
+Graphs are built eagerly and are kept apart from the values they compute.  A
+``Tensor`` is a value and, if it takes gradient, a ``Node``: the parents'
+nodes, a closure that routes the output gradient back to them, a gradient
+slot, the shape and a uid drawn in construction order.  Each closure captures
+its parents' nodes and exactly the arrays its backward reads, never a
+``Tensor``, so an op output that no backward reads (a residual sum, the
+projection that only feeds it) is freed as soon as the model code drops it.
+``backward`` walks the nodes once in decreasing uid order, which is a valid
 topological order because an output is always created after its inputs.
 Accumulation order is therefore fixed and bitwise reproducible.
 
@@ -16,10 +21,11 @@ the default model's shapes their bits are the same at 1 and 2 threads: a
 run's bits depend on the BLAS build, not on its thread count
 (``tests/test_blas_threads.py``).
 
-Inside ``no_grad()`` no graph is built at all: every op returns a plain
-leaf, so inference holds no parents, closures or gradient buffers.
+Inside ``no_grad()`` no graph is built at all: every op returns a tensor
+without a node, so inference holds no parents, closures or gradient buffers.
 
-Gradient buffers have owners.  A leaf (no backward closure) owns its
+Gradients live on nodes, and their buffers have owners.  A node without a
+closure (a leaf such as a parameter, or a ``stop_gradient`` output) owns its
 ``grad``: its first contribution is copied, later ones add in place.  An
 interior node adopts its first contribution by reference and rebinds on the
 next, so no closure ever writes into a buffer it did not allocate, and
@@ -34,6 +40,7 @@ from __future__ import annotations
 import ctypes
 import gc
 import itertools
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -74,7 +81,7 @@ _keep_heap()
 def no_cyclic_gc():
     """Suspend the cyclic collector across graph-heavy loops.
 
-    Graphs are acyclic (children hold their parents, never the reverse), so
+    Graphs are acyclic (a node holds its parents, never the reverse), so
     reference counting reclaims every node; the cyclic collector only adds
     full-heap scans during node churn, which dominates training time.
     """
@@ -90,7 +97,7 @@ def no_cyclic_gc():
 @contextmanager
 def no_grad():
     """Build no graph inside the block: ops and ``stop_gradient`` return
-    leaves without parents, so ``backward`` on them does nothing.  Nests, and
+    tensors without a node, so ``backward`` on them does nothing.  Nests, and
     restores the previous mode on exit, including exit by exception."""
     global _grad_enabled
     previous = _grad_enabled
@@ -109,22 +116,46 @@ class DegenerateBatchError(ValueError):
     """A loss was asked to average over zero contributing positions."""
 
 
-class Tensor:
-    """A float64 array with a gradient slot and backward provenance.
+class Node:
+    """What ``backward`` needs of a tensor that takes gradient: its parents'
+    nodes, the closure that routes its gradient to them (``None`` for a leaf
+    and for a ``stop_gradient`` output), its gradient slot, its shape, and a
+    uid drawn in construction order.  A node does not keep its tensor's
+    values alive: ``values`` is the array while anything else holds it, else
+    an empty array."""
 
-    ``grad`` is lazily allocated by ``backward``; tensors with
-    ``requires_grad=False`` never accumulate gradient.
+    __slots__ = ("parents", "backward_fn", "grad", "shape", "uid", "_values")
+
+    def __init__(self, values: np.ndarray, parents=(), backward_fn=None):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.grad = None
+        self.shape = values.shape
+        self.uid = next(_UIDS)
+        self._values = weakref.ref(values)
+
+    @property
+    def values(self) -> np.ndarray:
+        values = self._values()
+        return _FREED if values is None else values
+
+
+_FREED = np.empty(0)
+_FREED.flags.writeable = False
+
+
+class Tensor:
+    """A float64 array and, if it takes gradient, its graph ``node``
+    (``None`` for constants and under ``no_grad``).  ``requires_grad``,
+    ``grad`` and ``parents`` read through to the node; ``grad`` is allocated
+    by ``backward``.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "parents", "_backward_fn", "_uid")
+    __slots__ = ("values", "node")
 
-    def __init__(self, values, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self.parents = tuple(parents)
-        self._backward_fn = backward_fn
-        self._uid = next(_UIDS)
+        self.node = Node(self.values) if requires_grad else None
 
     @property
     def shape(self):
@@ -133,6 +164,25 @@ class Tensor:
     @property
     def size(self):
         return self.values.size
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def parents(self) -> tuple:
+        return () if self.node is None else self.node.parents
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.node is not None:
+            self.node.grad = g
+        elif g is not None:
+            raise ValueError("a tensor without requires_grad has no gradient slot")
 
     def item(self) -> float:
         if self.values.size != 1:
@@ -157,11 +207,15 @@ def _lift(x) -> Tensor:
 
 
 def _op(values, parents, backward_fn) -> Tensor:
-    """Build an op output; constant inputs, or ``no_grad``, yield a leaf with
-    no provenance."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, parents=parents, backward_fn=backward_fn)
-    return Tensor(values)
+    """Build an op output from its parents' nodes (``None`` for a constant);
+    constant inputs, or ``no_grad``, yield a tensor without a node."""
+    out = Tensor(values)
+    if _grad_enabled:
+        if None in parents:
+            parents = tuple(p for p in parents if p is not None)
+        if parents:
+            out.node = Node(out.values, parents, backward_fn)
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -181,28 +235,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    """Add ``g`` to ``t.grad`` under the ownership rule (module docstring).
-    ``np.array`` keeps ``u``'s memory layout, which later reductions see."""
-    if t.requires_grad:
-        u = _unbroadcast(g, t.values.shape)
-        if t._backward_fn is None:
-            if t.grad is None:
-                t.grad = np.array(u)
+def _accum(node: Node | None, g: np.ndarray):
+    """Add ``g`` to ``node.grad`` under the ownership rule (module
+    docstring); a constant's ``None`` node takes nothing.  ``np.array`` keeps
+    ``u``'s memory layout, which later reductions see."""
+    if node is not None:
+        u = _unbroadcast(g, node.shape)
+        if node.backward_fn is None:
+            if node.grad is None:
+                node.grad = np.array(u)
             else:
-                t.grad += u
+                node.grad += u
         else:
-            t.grad = u if t.grad is None else t.grad + u
+            node.grad = u if node.grad is None else node.grad + u
 
 
-def _own_grad(t: Tensor) -> np.ndarray:
-    """``t.grad`` as a buffer a closure may scatter into: zeros if unset, and
-    a copy of an interior node's adopted (possibly shared) buffer."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    elif t._backward_fn is not None:
-        t.grad = np.array(t.grad)
-    return t.grad
+def _own_grad(node: Node) -> np.ndarray:
+    """``node.grad`` as a buffer a closure may scatter into: zeros if unset,
+    and a copy of an interior node's adopted (possibly shared) buffer."""
+    if node.grad is None:
+        node.grad = np.zeros(node.shape)
+    elif node.backward_fn is not None:
+        node.grad = np.array(node.grad)
+    return node.grad
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +265,28 @@ def _own_grad(t: Tensor) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values + b.values
+    an, bn = a.node, b.node
 
     def bw(g):
-        _accum(a, g)
-        _accum(b, g)
+        _accum(an, g)
+        _accum(bn, g)
 
-    return _op(out_vals, (a, b), bw)
+    return _op(a.values + b.values, (an, bn), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_vals = a.values * b.values
+    an, bn = a.node, b.node
+    # each operand's gradient reads only the other operand
+    av = a.values if bn is not None else None
+    bv = b.values if an is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g * b.values)
-        if b.requires_grad:
-            _accum(b, g * a.values)
+        if an is not None:
+            _accum(an, g * bv)
+        if bn is not None:
+            _accum(bn, g * av)
 
-    return _op(out_vals, (a, b), bw)
+    return _op(a.values * b.values, (an, bn), bw)
 
 
 def _fold(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -253,15 +311,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         except ValueError:
             raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}") from None
     prod = _fold if b.values.ndim == 2 else np.matmul
-    out_vals = prod(a.values, b.values)
+    an, bn = a.node, b.node
+    av = a.values if bn is not None else None
+    bv = b.values if an is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, prod(g, b.values.swapaxes(-1, -2)))
-        if b.requires_grad:
-            _accum(b, a.values.swapaxes(-1, -2) @ g)
+        if an is not None:
+            _accum(an, prod(g, bv.swapaxes(-1, -2)))
+        if bn is not None:
+            _accum(bn, av.swapaxes(-1, -2) @ g)
 
-    return _op(out_vals, (a, b), bw)
+    return _op(prod(a.values, b.values), (an, bn), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -275,31 +335,36 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear needs [..., n] @ [n x m], got {x.shape} @ {w.shape}")
     out_vals = _fold(x.values, w.values)
     out_vals += b.values
+    xn, wn, bn = x.node, w.node, b.node
+    xv = x.values if wn is not None else None
+    wv = w.values if xn is not None else None
 
     def bw(g):
-        if x.requires_grad:
-            _accum(x, _fold(g, w.values.swapaxes(-1, -2)))
-        if w.requires_grad:
-            _accum(w, x.values.swapaxes(-1, -2) @ g)
-        _accum(b, g)
+        if xn is not None:
+            _accum(xn, _fold(g, wv.swapaxes(-1, -2)))
+        if wn is not None:
+            _accum(wn, xv.swapaxes(-1, -2) @ g)
+        _accum(bn, g)
 
-    return _op(out_vals, (x, w, b), bw)
+    return _op(out_vals, (xn, wn, bn), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    an = a.node
 
     def bw(g):
-        _accum(a, g.reshape(a.values.shape))
+        _accum(an, g.reshape(an.shape))
 
-    return _op(a.values.reshape(shape), (a,), bw)
+    return _op(a.values.reshape(tuple(shape)), (an,), bw)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    def bw(g):
-        _accum(a, g.swapaxes(ax1, ax2))
+    an = a.node
 
-    return _op(a.values.swapaxes(ax1, ax2), (a,), bw)
+    def bw(g):
+        _accum(an, g.swapaxes(ax1, ax2))
+
+    return _op(a.values.swapaxes(ax1, ax2), (an,), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -309,27 +374,28 @@ def transpose(a: Tensor) -> Tensor:
 def concat(parts, axis: int = 0) -> Tensor:
     parts = list(parts)
     out_vals = np.concatenate([p.values for p in parts], axis=axis)
+    nodes = tuple(p.node for p in parts)
     extents = [p.values.shape[axis] for p in parts]
 
     def bw(g):
         offset = 0
-        for p, n in zip(parts, extents):
+        for node, n in zip(nodes, extents):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + n)
-            _accum(p, g[tuple(sl)])
+            _accum(node, g[tuple(sl)])
             offset += n
 
-    return _op(out_vals, tuple(parts), bw)
+    return _op(out_vals, nodes, bw)
 
 
 def narrow_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Rows [start, stop) along axis 0."""
+    an = a.node
 
     def bw(g):
-        if a.requires_grad:
-            _own_grad(a)[start:stop] += g
+        _own_grad(an)[start:stop] += g
 
-    return _op(a.values[start:stop].copy(), (a,), bw)
+    return _op(a.values[start:stop].copy(), (an,), bw)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -338,19 +404,21 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.values.shape[0]):
         raise ShapeError(f"gather id out of range for table of {table.values.shape[0]} rows")
+    tn = table.node
 
     def bw(g):
-        if table.requires_grad:
-            np.add.at(_own_grad(table), ids, g)
+        np.add.at(_own_grad(tn), ids, g)
 
-    return _op(table.values[ids], (table,), bw)
+    return _op(table.values[ids], (tn,), bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, np.broadcast_to(g, a.values.shape))
+    an = a.node
 
-    return _op(a.values.sum(), (a,), bw)
+    def bw(g):
+        _accum(an, np.broadcast_to(g, an.shape))
+
+    return _op(a.values.sum(), (an,), bw)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -365,6 +433,7 @@ def gelu(a: Tensor) -> Tensor:
     x = a.values
     t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * (x * x)))
     out_vals = x * (0.5 * (1.0 + t))
+    an = a.node
 
     def bw(g):
         d = x * x
@@ -380,9 +449,9 @@ def gelu(a: Tensor) -> Tensor:
         d *= 0.5
         d += u
         d *= g
-        _accum(a, d)
+        _accum(an, d)
 
-    return _op(out_vals, (a,), bw)
+    return _op(out_vals, (an,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +498,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     w /= np.add.reduce(w, axis=-1, keepdims=True)
 
     out_vals = merged_matmul(w, vh)
+    qn, kn, vn = q.node, k.node, v.node
 
     def bw(g):
         # the chain's order: v, then q, then k (one tensor may be all three)
-        if v.requires_grad:
-            _accum(v, merged_matmul(w.swapaxes(-1, -2), heads(g)))
-        if q.requires_grad or k.requires_grad:
+        if vn is not None:
+            _accum(vn, merged_matmul(w.swapaxes(-1, -2), heads(g)))
+        if qn is not None or kn is not None:
             ds = heads(g) @ vh.swapaxes(-1, -2)
             row = np.add.reduce((g * out_vals).reshape(qs[0], qs[1], n_heads, dh), axis=-1)
             ds -= row.swapaxes(1, 2)[..., None]  # [B x h x Tq x 1]
             ds *= w
-            if q.requires_grad:
+            if qn is not None:
                 gq = merged_matmul(ds, kh)
                 gq *= scale
-                _accum(q, gq)
-            if k.requires_grad:
+                _accum(qn, gq)
+            if kn is not None:
                 gk = merged_matmul(ds.swapaxes(-1, -2), qh)
                 gk *= scale
-                _accum(k, gk)
+                _accum(kn, gk)
 
-    return _op(out_vals, (q, k, v), bw)
+    return _op(out_vals, (qn, kn, vn), bw)
 
 
 def _row_mean(v: np.ndarray) -> np.ndarray:
@@ -474,27 +544,29 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var += eps
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     y *= inv
-    out_vals = y * gain.values
+    gv = gain.values
+    out_vals = y * gv
     out_vals += bias.values
+    an, gn, bn = a.node, gain.node, bias.node
 
     def bw(g):
         n = g.shape[-1]
 
         def row_mean(m):  # mean over the last axis of m * gain, one GEMV
-            r = (m.reshape(-1, n) @ gain.values).reshape(m.shape[:-1] + (1,))
+            r = (m.reshape(-1, n) @ gv).reshape(m.shape[:-1] + (1,))
             r /= n
             return r
 
         gy = g * y
-        dx = g * gain.values
+        dx = g * gv
         dx -= row_mean(g)
         dx -= y * row_mean(gy)
         dx *= inv
-        _accum(a, dx)
-        _accum(gain, gy)
-        _accum(bias, g)
+        _accum(an, dx)
+        _accum(gn, gy)
+        _accum(bn, g)
 
-    return _op(out_vals, (a, gain, bias), bw)
+    return _op(out_vals, (an, gn, bn), bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets, ignore_mask=None) -> Tensor:
@@ -521,17 +593,16 @@ def cross_entropy_logits(logits: Tensor, targets, ignore_mask=None) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - lse
     out_vals = -logp[np.arange(n_pos), tgt][keep].mean()
+    ln = logits.node
 
     def bw(g):
-        if not logits.requires_grad:
-            return
         d = np.exp(logp)
         d[np.arange(n_pos), tgt] -= 1.0
         d[~keep] = 0.0
         d *= float(g) / n_keep
-        _accum(logits, d)
+        _accum(ln, d)
 
-    return _op(out_vals, (logits,), bw)
+    return _op(out_vals, (ln,), bw)
 
 
 def squared_error(a: Tensor, b: Tensor) -> Tensor:
@@ -544,19 +615,23 @@ def squared_error(a: Tensor, b: Tensor) -> Tensor:
     diff = a.values - b.values
     n_pos = a.values.shape[0] if a.values.ndim >= 2 else 1
     out_vals = (diff * diff).sum() / n_pos
+    an, bn = a.node, b.node
 
     def bw(g):
         scaled = (2.0 * float(g) / n_pos) * diff
-        _accum(a, scaled)
-        _accum(b, -scaled)
+        _accum(an, scaled)
+        _accum(bn, -scaled)
 
-    return _op(out_vals, (a, b), bw)
+    return _op(out_vals, (an, bn), bw)
 
 
 def stop_gradient(a: Tensor) -> Tensor:
-    """Identity forward; contributes exactly zero gradient to ``a``."""
-    keep = _grad_enabled and a.requires_grad
-    return Tensor(a.values.copy(), requires_grad=keep, parents=(a,) if keep else ())
+    """Identity forward; contributes exactly zero gradient to ``a``.  The
+    output's node keeps ``a``'s node as its parent but has no closure."""
+    out = Tensor(a.values.copy())
+    if _grad_enabled and a.node is not None:
+        out.node = Node(out.values, (a.node,))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +639,7 @@ def stop_gradient(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate ``grad`` of every requires_grad leaf under a scalar loss.
+    """Populate ``grad`` of every leaf node under a scalar loss.
 
     Grads of the traversed graph are reset first, so repeated calls on the
     same graph reproduce identical gradients rather than compounding.  An
@@ -573,12 +648,13 @@ def backward(loss: Tensor):
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
+    root = loss.node
+    if root is None:
         return
 
     nodes = []
     seen = set()
-    stack = [loss]
+    stack = [root]
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -588,18 +664,17 @@ def backward(loss: Tensor):
         stack.extend(node.parents)
 
     # Decreasing construction order visits every child before its parents.
-    nodes.sort(key=lambda n: n._uid, reverse=True)
+    nodes.sort(key=lambda n: n.uid, reverse=True)
     for node in nodes:
-        if node.requires_grad:
+        node.grad = None
+    root.grad = np.ones(root.shape)
+    for node in nodes:
+        if node.backward_fn is not None and node.grad is not None:
+            node.backward_fn(node.grad)
             node.grad = None
-    loss.grad = np.ones_like(loss.values)
     for node in nodes:
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
-            node.grad = None
-    for node in nodes:
-        if node.requires_grad and node._backward_fn is None and node.grad is None:
-            node.grad = np.zeros_like(node.values)
+        if node.backward_fn is None and node.grad is None:
+            node.grad = np.zeros(node.shape)
 
 
 # the step of every central difference

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 from .codec import PatchFeaturizer, VisualCodebook
 from .corruption import check_block_shape
 from .data import TextVocab
-from .model import DuVlgModel, ModelConfig, init_model
+from .model import DuVlgModel, ModelConfig, init_model, parameter_count
 
 
 class ConfigError(ValueError):
@@ -235,11 +236,28 @@ def to_decode_config(cfg: RunConfig, strategy: str = "beam",
     return cfg
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where ``sysconf`` cannot say."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
 def build_model(cfg: RunConfig) -> tuple[DuVlgModel, TextVocab]:
-    """Model with frozen featurizer/codebook attached, plus the text vocab."""
+    """Model with frozen featurizer/codebook attached, plus the text vocab.
+    A model whose float64 parameters alone exceed the host's physical memory
+    is refused before anything is allocated: ``init_model`` allocates one
+    layer at a time, and would otherwise run the host out of memory in small
+    pieces instead of failing once."""
     vocab = TextVocab()
+    model_cfg = to_model_config(cfg, vocab)
+    need, have = 8 * parameter_count(model_cfg), _physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(f"the model's parameters alone need {need / 2**30:.1f} GiB, more than "
+                          f"the {have / 2**30:.1f} GiB of physical memory")
     featurizer = PatchFeaturizer(cfg.patch_size, cfg.d_feat)
     codebook = VisualCodebook.build(cfg.codebook_size, cfg.d_code, cfg.patch_size)
-    model = init_model(to_model_config(cfg, vocab), cfg.seed,
-                       featurizer=featurizer, codebook=codebook)
+    model = init_model(model_cfg, cfg.seed, featurizer=featurizer, codebook=codebook)
     return model, vocab

@@ -15,24 +15,27 @@ from duvlg.model import SPECIALS, decode_forward_batch
 
 def tanh(a: Tensor) -> Tensor:
     out_vals = np.tanh(a.values)
+    an = a.node
 
     def bw(g):
-        _accum(a, g * (1.0 - out_vals * out_vals))
+        _accum(an, g * (1.0 - out_vals * out_vals))
 
-    return _op(out_vals, (a,), bw)
+    return _op(out_vals, (an,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` as numpy's batched product, one GEMM per leading index, in
     forward and backward: what ``ad.matmul`` and ``ad.linear`` computed before
     they folded all rows into one GEMM against a 2-D right operand."""
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g @ b.values.swapaxes(-1, -2))
-        if b.requires_grad:
-            _accum(b, a.values.swapaxes(-1, -2) @ g)
+    an, bn, av, bv = a.node, b.node, a.values, b.values
 
-    return _op(a.values @ b.values, (a, b), bw)
+    def bw(g):
+        if an is not None:
+            _accum(an, g @ bv.swapaxes(-1, -2))
+        if bn is not None:
+            _accum(bn, av.swapaxes(-1, -2) @ g)
+
+    return _op(av @ bv, (an, bn), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -82,23 +85,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     w -= np.maximum.reduce(w, axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
+    qn, kn, vn = q.node, k.node, v.node
 
     def bw(g):
         g = heads(g)
-        if v.requires_grad:
-            _accum(v, merged_matmul(w.swapaxes(-1, -2), g))
-        if q.requires_grad or k.requires_grad:
+        if vn is not None:
+            _accum(vn, merged_matmul(w.swapaxes(-1, -2), g))
+        if qn is not None or kn is not None:
             ds = g @ vh.swapaxes(-1, -2)
             ds -= np.add.reduce(ds * w, axis=-1, keepdims=True)
             ds *= w
             ds *= scale
-            if q.requires_grad:
-                _accum(q, merged_matmul(ds, kh))
-            if k.requires_grad:  # (q^T @ ds)^T, merged by one copy
+            if qn is not None:
+                _accum(qn, merged_matmul(ds, kh))
+            if kn is not None:  # (q^T @ ds)^T, merged by one copy
                 gk = qh.swapaxes(-1, -2) @ ds  # [B x h x dh x Tk]
-                _accum(k, gk.transpose(0, 3, 1, 2).reshape(gk.shape[0], -1, qs[2]))
+                _accum(kn, gk.transpose(0, 3, 1, 2).reshape(gk.shape[0], -1, qs[2]))
 
-    return _op(merged_matmul(w, vh), (q, k, v), bw)
+    return _op(merged_matmul(w, vh), (qn, kn, vn), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -113,21 +117,23 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var += eps
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     y *= inv
-    out_vals = y * gain.values
+    gv = gain.values
+    out_vals = y * gv
     out_vals += bias.values
+    an, gn, bn = a.node, gain.node, bias.node
 
     def bw(g):
-        dy = g * gain.values
+        dy = g * gv
         dyy = dy * y
         np.multiply(y, _row_mean(dyy), out=dyy)
         dy -= _row_mean(dy)
         dy -= dyy
         dy *= inv
-        _accum(a, dy)
-        _accum(gain, unbroadcast(g * y, gain.values.shape))
-        _accum(bias, unbroadcast(g, bias.values.shape))
+        _accum(an, dy)
+        _accum(gn, unbroadcast(g * y, gv.shape))
+        _accum(bn, unbroadcast(g, bias.shape))
 
-    return _op(out_vals, (a, gain, bias), bw)
+    return _op(out_vals, (an, gn, bn), bw)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -135,13 +141,14 @@ def gelu(a: Tensor) -> Tensor:
     before the backward worked in place; bitwise equal to it."""
     x = a.values
     t = np.tanh(ad._GELU_C * x * (1.0 + 0.044715 * (x * x)))
+    an = a.node
 
     def bw(g):
         d_inner = ad._GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         d = 0.5 * (1.0 + t) + x * (0.5 * (1.0 - t * t)) * d_inner
-        _accum(a, g * d)
+        _accum(an, g * d)
 
-    return _op(x * (0.5 * (1.0 + t)), (a,), bw)
+    return _op(x * (0.5 * (1.0 + t)), (an,), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -150,12 +157,13 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_vals = e / e.sum(axis=-1, keepdims=True)
+    an = a.node
 
     def bw(g):
         dot = (g * out_vals).sum(axis=-1, keepdims=True)
-        _accum(a, (g - dot) * out_vals)
+        _accum(an, (g - dot) * out_vals)
 
-    return _op(out_vals, (a,), bw)
+    return _op(out_vals, (an,), bw)
 
 
 def step_logprobs(model, enc, enc_valid, cache, tokens, candidate_ids, temperature):

@@ -1,4 +1,6 @@
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -105,17 +107,19 @@ def _mean_formula_layer_norm(a, gain, bias, eps=1e-5):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    out_vals = y * gain.values + bias.values
+    gv = gain.values
+    out_vals = y * gv + bias.values
+    an, gn, bn = a.node, gain.node, bias.node
 
     def bw(g):
-        dy = g * gain.values
-        ad._accum(a, (dy - dy.mean(axis=-1, keepdims=True)
-                      - y * (dy * y).mean(axis=-1, keepdims=True)) * inv)
+        dy = g * gv
+        ad._accum(an, (dy - dy.mean(axis=-1, keepdims=True)
+                       - y * (dy * y).mean(axis=-1, keepdims=True)) * inv)
         reduce_axes = tuple(range(g.ndim - 1))
-        ad._accum(gain, (g * y).sum(axis=reduce_axes) if reduce_axes else g * y)
-        ad._accum(bias, g.sum(axis=reduce_axes) if reduce_axes else g)
+        ad._accum(gn, (g * y).sum(axis=reduce_axes) if reduce_axes else g * y)
+        ad._accum(bn, g.sum(axis=reduce_axes) if reduce_axes else g)
 
-    return ad._op(out_vals, (a, gain, bias), bw)
+    return ad._op(out_vals, (an, gn, bn), bw)
 
 
 @pytest.mark.parametrize("shape", [(7,), (40, 9), (16, 1, 64), (4, 25, 24)])
@@ -227,7 +231,7 @@ def test_no_grad_nests_and_restores_after_exception():
         with ad.no_grad():
             raise RuntimeError("boom")
     out = ad.mul(x, x)
-    assert out.requires_grad and out.parents == (x, x)
+    assert out.requires_grad and out.parents == (x.node, x.node)
     ad.backward(out.sum())
     assert np.array_equal(x.grad, 2 * x.values)
 
@@ -543,7 +547,7 @@ def test_attention_no_grad_matches_and_builds_no_graph():
     ref = ad.attention(q, k, v, _HEADS, mask)
     with ad.no_grad():
         out = ad.attention(q, k, v, _HEADS, mask)
-    assert out.parents == () and out._backward_fn is None and not out.requires_grad
+    assert out.parents == () and out.node is None and not out.requires_grad
     assert np.array_equal(out.values, ref.values)
     for t, a in zip((q, k, v), copies):  # no input is overwritten
         assert np.array_equal(t.values, a)
@@ -662,7 +666,7 @@ def test_linear_no_grad_returns_leaf():
     ref = _chain_linear(x, w, b)
     with ad.no_grad():
         out = ad.linear(x, w, b)
-    assert out.parents == () and out._backward_fn is None and not out.requires_grad
+    assert out.parents == () and out.node is None and not out.requires_grad
     assert np.array_equal(out.values, ref.values)
 
 
@@ -715,3 +719,57 @@ def test_interior_accumulation_rebinds_instead_of_adding_in_place():
     ad.backward(loss)
     assert np.array_equal(x.grad, [6.0, 6.0, 6.0])
     assert np.array_equal(w.grad, [1.0, 1.0, 1.0])
+
+
+def _closure_holds_tensor(fn):
+    """Whether a closure cell of ``fn``, or of a function in one, holds a
+    ``Tensor``."""
+    held = [cell.cell_contents for cell in fn.__closure__ or ()]
+    return any(isinstance(h, Tensor) or (isinstance(h, types.FunctionType)
+                                         and _closure_holds_tensor(h)) for h in held)
+
+
+def test_no_closure_holds_a_tensor():
+    # closures capture their parents' nodes and the arrays backward reads, so
+    # an output no backward reads is freed once the model code drops it
+    rng = np.random.default_rng(21)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+
+    x3, x2, w, b, table = leaf(2, 3, 4), leaf(3, 4), leaf(4, 4), leaf(4), leaf(5, 4)
+    q, k, v = leaf(2, 3, 4), leaf(2, 5, 4), leaf(2, 5, 4)
+    outs = {
+        "add": ad.add(x2, b), "mul": ad.mul(x2, x2), "matmul": ad.matmul(x3, w),
+        "batched matmul": ad.matmul(x3, ad.swapaxes(x3, 1, 2)), "linear": ad.linear(x3, w, b),
+        "reshape": ad.reshape(x2, (4, 3)), "swapaxes": ad.swapaxes(x3, 0, 2),
+        "transpose": ad.transpose(x2), "concat": ad.concat([x2, table]),
+        "narrow_rows": ad.narrow_rows(table, 1, 3), "gather_rows": ad.gather_rows(table, [[0, 4]]),
+        "sum_all": ad.sum_all(x2), "gelu": ad.gelu(x2), "attention": ad.attention(q, k, v, 2),
+        "layer_norm": ad.layer_norm(x3, b, b), "cross_entropy_logits":
+            ad.cross_entropy_logits(x2, [0, 1, 3]), "squared_error": ad.squared_error(x2, x2),
+        "stop_gradient": ad.stop_gradient(x2),
+    }
+    for name, out in outs.items():
+        assert out.requires_grad, name
+        fn = out.node.backward_fn
+        assert (fn is None) == (name == "stop_gradient"), name
+        assert fn is None or not _closure_holds_tensor(fn), name
+
+
+def test_output_no_backward_reads_is_freed():
+    rng = np.random.default_rng(22)
+    av, bv, cv = (rng.uniform(-1, 1, 5) for _ in range(3))
+    grads = []
+    for keep in (True, False):
+        a, b, c = (Tensor(v.copy(), requires_grad=True) for v in (av, bv, cv))
+        h = ad.add(a, b)
+        loss = ad.sum_all(ad.mul(ad.add(h, c), Tensor(cv)))
+        if not keep:
+            freed = weakref.ref(h.values)
+            del h
+            assert freed() is None  # while the loss and its graph are alive
+        ad.backward(loss)
+        grads.append([t.grad for t in (a, b, c)])
+    for kept, dropped in zip(*grads):
+        assert kept.tobytes() == dropped.tobytes()

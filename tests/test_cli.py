@@ -265,6 +265,42 @@ def test_out_of_memory_fails_in_one_line(tmp_path, data_file, monkeypatch, capsy
     assert not (tmp_path / "out.ckpt").exists()
 
 
+_HUGE = "n_layers_enc=100000000"  # 27 TB of float64 parameters
+
+
+def _refuse_init(monkeypatch):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("allocated a model larger than physical memory")
+
+    monkeypatch.setattr("duvlg.config.init_model", must_not_run)
+
+
+def test_model_larger_than_memory_is_refused_before_allocation(tmp_path, monkeypatch, capsys):
+    # init_model allocates one layer at a time, so such a model used to ask
+    # for memory in small pieces until the host ran out
+    _refuse_init(monkeypatch)
+    capsys.readouterr()
+    rc = cli_dispatch(["pretrain", "--data", str(tmp_path / "absent.tsv"), "--steps", "1",
+                       "--out", str(tmp_path / "out.ckpt"), "--set", _HUGE])
+    assert rc == 1
+    _one_error_line(capsys, "GiB of physical memory")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_naming_a_model_larger_than_memory_is_refused(tmp_path, monkeypatch, capsys,
+                                                                  small_ckpt, edit_header):
+    huge = tmp_path / "huge.ckpt"
+    key, value = _HUGE.split("=")
+    edit_header(small_ckpt, huge, lambda h: h["config"].update({key: int(value)}))
+    _refuse_init(monkeypatch)
+    capsys.readouterr()
+    rc = cli_dispatch(["pretrain", "--resume", str(huge), "--data", str(tmp_path / "absent.tsv"),
+                       "--steps", "1", "--out", str(tmp_path / "out.ckpt")])
+    assert rc == 1
+    _one_error_line(capsys, f"{huge}: the model's parameters alone need")
+    assert list(tmp_path.iterdir()) == [huge]
+
+
 @pytest.mark.parametrize("setting", ["d_model=32", "n_layers_enc=2", "n_layers_dec=2", "n_heads=4",
                                      "d_ff=64", "max_text_len=30", "image_size=32", "patch_size=8",
                                      "codebook_size=32", "d_feat=16", "d_code=16"])
