@@ -13,13 +13,27 @@ Accumulation order is therefore fixed and bitwise reproducible.
 
 A product with one weight matrix (``matmul`` against a 2-D right operand,
 and ``linear``) is one GEMM over all rows of the left operand, in forward
-and in that operand's gradient, so BLAS may split it across threads.  The
-weight's gradient stays one GEMM per leading index, summed in index order:
-folded, it would contract over every row, and its bits then changed with the
-BLAS thread count.  The folded products contract over a model width, and at
-the default model's shapes their bits are the same at 1 and 2 threads: a
-run's bits depend on the BLAS build, not on its thread count
-(``tests/test_blas_threads.py``).
+and in that operand's gradient.  The weight's gradient stays one GEMM per
+leading index, summed in index order: folded, it would contract over every
+row, and its bits then changed with the BLAS thread count.
+
+Two cores.  Importing this module runs numpy's bundled OpenBLAS on one
+thread (``_pin_blas``): its second thread busy-waits on the other core after
+every threaded GEMM, which starves any other thread or process there.  The
+other core runs one worker thread instead.  An op whose main buffer
+(attention's scores, else its input) holds at least ``_SPLIT`` elements, and
+whose leading axis has two or more entries, computes the upper half of that
+axis on the worker while the caller computes the lower half (``_split``):
+attention forward and backward per example, ``gelu`` forward and backward,
+``layer_norm``'s forward per row, and a weight product's forward, input
+gradient and per-example weight products.  Each element runs the same
+statements as in the whole call, so elementwise, per-row and per-example
+results keep their bits.  A folded GEMM cut into two row blocks can round
+differently from the whole GEMM where a block is small, so it is cut only
+where each half keeps ``_MIN_ROWS`` rows; at the default model's shapes no
+bit moves even with every op forced to split (``tests/test_split.py``).
+Below the split size, and where no worker runs, an op runs whole on the
+calling thread.
 
 Inside ``no_grad()`` no graph is built at all: every op returns a tensor
 without a node, so inference holds no parents, closures or gradient buffers.
@@ -40,6 +54,9 @@ from __future__ import annotations
 import ctypes
 import gc
 import itertools
+import math
+import os
+import threading
 import weakref
 from contextlib import contextmanager
 
@@ -75,6 +92,113 @@ def _keep_heap():
 
 
 _keep_heap()
+
+
+def _pin_blas() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread.  True if that worked and
+    this process may run on more than one CPU, so large ops split.
+
+    Pinned, a product no longer spreads over both cores by itself; the
+    worker's half (``_split``) takes the second core instead, and a second
+    process on the host no longer competes with a spinning BLAS thread.
+    Does nothing, and returns False, where numpy bundles no OpenBLAS with
+    the thread setter."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = os.listdir(libs)
+    except OSError:  # numpy built against another BLAS
+        return False
+    for name in names:
+        if name.startswith("libscipy_openblas64_") and name.endswith(".so"):
+            try:  # the copy numpy already loaded
+                set_threads = ctypes.CDLL(os.path.join(libs, name)) \
+                    .scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                return False
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            set_threads(1)
+            return len(os.sched_getaffinity(0)) > 1
+    return False
+
+
+# Elements in an op's main buffer from which it runs as two halves.  A
+# hand-off to the worker costs about 9 us; at the default model's [16 x 21 x
+# 128] (43,008) a split saved nothing, at [16 x 65 x 64] it saves a third.
+# Decoding's one-position steps stay below it.  Where no worker may run, no
+# op splits.
+_SPLIT = 49152 if _pin_blas() else math.inf
+# Rows each half of a cut folded GEMM keeps.  OpenBLAS runs a product with
+# fewer rows through other kernels, whose rounding differs: cut into halves
+# of up to 48 rows, a [rows x 64] @ [64 x 25] product with a transposed
+# right operand (a head block) changed bits.
+_MIN_ROWS = 64
+
+
+class _Worker:
+    """One daemon thread that runs the upper half of a split op.  It calls
+    only the op's private kernel, under the caller's numpy error state
+    (``np.errstate`` is local to a thread's context), and keeps whatever the
+    kernel raised for the caller."""
+
+    def __init__(self):
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = self.error = None
+        threading.Thread(target=self._serve, name="duvlg-autodiff", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            kernel, lo, hi, errors = self.task
+            self.task = None
+            try:
+                with np.errstate(**errors):
+                    kernel(lo, hi)
+            except BaseException as exc:  # re-raised by the caller, in _split
+                self.error = exc
+            del kernel
+            self.done.release()
+
+
+_worker = None  # started by the first split
+_handoff = threading.Lock()  # one split at a time owns the worker
+
+
+def _drop_worker():
+    # a forked child has no worker thread, and may hold a copy of a taken lock
+    global _worker, _handoff
+    _worker, _handoff = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _split(kernel, n: int):
+    """Run ``kernel(lo, hi)``, which computes entries ``lo:hi`` of an op's
+    leading axis, as ``kernel(n // 2, n)`` on the worker and ``kernel(0,
+    n // 2)`` here.  Returns once both halves have ended, even if this one
+    raised; then re-raises what the worker's half raised, if this half
+    raised nothing."""
+    global _worker
+    cut = n // 2
+    with _handoff:
+        if _worker is None:
+            _worker = _Worker()
+        worker = _worker
+        worker.task = (kernel, cut, n, np.geterr())
+        worker.go.release()
+        try:
+            kernel(0, cut)
+        finally:
+            try:
+                worker.done.acquire()
+            except BaseException:  # interrupted while waiting: never reuse a busy worker
+                _worker = None
+                raise
+            error, worker.error = worker.error, None
+    if error is not None:
+        raise error
 
 
 @contextmanager
@@ -291,8 +415,66 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def _fold(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w`` for ``x`` [..., n] and one matrix ``w`` [n x m], as one GEMM
-    over all rows of ``x`` instead of one per leading index."""
+    over all rows of ``x`` instead of one per leading index; a product that
+    splits runs it as two row blocks (``_fold_halves``)."""
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[-1],))
+
+
+def _halves_keep_rows(x: np.ndarray) -> bool:
+    """Whether ``x`` [B x ... x n], cut between leading indices, leaves each
+    half of a product with one matrix ``_MIN_ROWS`` rows.  Such a product
+    splits when ``x`` also holds ``_SPLIT`` elements."""
+    return x.shape[0] > 1 and x.shape[0] // 2 * math.prod(x.shape[1:-1]) >= _MIN_ROWS
+
+
+def _fold_halves(x: np.ndarray, w: np.ndarray, bias=None) -> np.ndarray:
+    """``_fold(x, w)``, plus ``bias`` if given, as two row blocks of its GEMM
+    cut between leading indices of ``x`` (``_split``)."""
+    x2 = x.reshape(-1, x.shape[-1])
+    per = x2.shape[0] // x.shape[0]  # rows per leading index
+    out = np.empty((x2.shape[0], w.shape[-1]))
+
+    def half(lo, hi):
+        rows = np.matmul(x2[lo * per:hi * per], w, out=out[lo * per:hi * per])
+        if bias is not None:
+            rows += bias
+
+    _split(half, x.shape[0])
+    return out.reshape(x.shape[:-1] + (w.shape[-1],))
+
+
+def _weight_product_halves(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """``linear(x, w, b)``, or ``matmul(x, w)`` when ``b`` is ``None``, split
+    between leading indices of ``x``: the product and ``x``'s gradient as two
+    row blocks of their GEMMs, and each half's per-example weight products on
+    its own thread, summed over the batch in index order by the caller."""
+    xn, wn, bn = x.node, w.node, None if b is None else b.node
+    xv = x.values if wn is not None else None
+    wt = w.values.swapaxes(-1, -2) if xn is not None else None
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        per = g2.shape[0] // g.shape[0]  # rows per leading index
+        gx = None if xn is None else np.empty((g2.shape[0], wt.shape[1]))
+        # per-example weight products; a 2-D x has no example axis
+        gw = None if wn is None or xv.ndim == 2 else \
+            np.empty(xv.shape[:-2] + (xv.shape[-1], g.shape[-1]))
+
+        def half(lo, hi):
+            if gx is not None:
+                np.matmul(g2[lo * per:hi * per], wt, out=gx[lo * per:hi * per])
+            if gw is not None:
+                np.matmul(xv[lo:hi].swapaxes(-1, -2), g[lo:hi], out=gw[lo:hi])
+
+        _split(half, g.shape[0])
+        if xn is not None:
+            _accum(xn, gx.reshape(g.shape[:-1] + (wt.shape[1],)))
+        if wn is not None:
+            _accum(wn, xv.swapaxes(-1, -2) @ g if gw is None else gw)
+        _accum(bn, g)
+
+    out_vals = _fold_halves(x.values, w.values, None if b is None else b.values)
+    return _op(out_vals, (xn, wn, bn), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -310,6 +492,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             np.broadcast_shapes(a.values.shape[:-2], b.values.shape[:-2])
         except ValueError:
             raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}") from None
+    if b.values.ndim == 2 and a.values.size >= _SPLIT and _halves_keep_rows(a.values):
+        return _weight_product_halves(a, b, None)
     prod = _fold if b.values.ndim == 2 else np.matmul
     an, bn = a.node, b.node
     av = a.values if bn is not None else None
@@ -333,10 +517,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     summed in index order."""
     if x.values.ndim < 2 or w.values.ndim != 2 or x.values.shape[-1] != w.values.shape[0]:
         raise ShapeError(f"linear needs [..., n] @ [n x m], got {x.shape} @ {w.shape}")
-    out_vals = _fold(x.values, w.values)
+    xv = x.values
+    if xv.size >= _SPLIT and _halves_keep_rows(xv):
+        return _weight_product_halves(x, w, b)
+    # _fold, inline: decoding runs hundreds of small products per request
+    out_vals = (xv.reshape(-1, xv.shape[-1]) @ w.values).reshape(
+        xv.shape[:-1] + (w.values.shape[1],))
     out_vals += b.values
     xn, wn, bn = x.node, w.node, b.node
-    xv = x.values if wn is not None else None
+    xv = xv if wn is not None else None
     wv = w.values if xn is not None else None
 
     def bw(g):
@@ -424,38 +613,133 @@ def sum_all(a: Tensor) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu_grad(x, t, g, d=None):
+    """GELU's derivative at ``x`` (with ``t`` its forward tanh) times ``g``,
+    in place on two temporaries (into ``d`` if given), in the order of
+    operations of its one-line formula, so its bits are the formula's."""
+    d = np.multiply(x, x, out=d)
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= _GELU_C  # d/dx of the tanh's argument
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    u *= 0.5
+    u *= x
+    u *= d
+    np.add(1.0, t, out=d)
+    d *= 0.5
+    d += u
+    d *= g
+    return d
+
+
+def _gelu_halves(a: Tensor) -> Tensor:
+    """``gelu(a)`` split over the leading axis of ``a``, forward and backward."""
+    x, an = a.values, a.node
+    t, out_vals = np.empty(x.shape), np.empty(x.shape)
+
+    def half(lo, hi):
+        xi = x[lo:hi]
+        ti = np.tanh(_GELU_C * xi * (1.0 + 0.044715 * (xi * xi)), out=t[lo:hi])
+        np.multiply(xi, 0.5 * (1.0 + ti), out=out_vals[lo:hi])
+
+    def bw(g):
+        d = np.empty(x.shape)
+        _split(lambda lo, hi: _gelu_grad(x[lo:hi], t[lo:hi], g[lo:hi], d[lo:hi]), x.shape[0])
+        _accum(an, d)
+
+    _split(half, x.shape[0])
+    return _op(out_vals, (an,), bw)
+
+
 def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU with its exact derivative.  Only the tanh is
     kept for backward; ``x * x`` and ``0.5 * (1 + t)`` are recomputed there
-    from the forward's expressions, so the bits are those of keeping them.
-    The derivative is evaluated in place on two temporaries, in the order of
-    operations of its one-line formula, so its bits are the formula's."""
+    from the forward's expressions, so the bits are those of keeping them."""
     x = a.values
+    if x.size >= _SPLIT and x.ndim > 0 and x.shape[0] > 1:
+        return _gelu_halves(a)
     t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * (x * x)))
     out_vals = x * (0.5 * (1.0 + t))
     an = a.node
 
     def bw(g):
-        d = x * x
-        d *= 3 * 0.044715
-        d += 1.0
-        d *= _GELU_C  # d/dx of the tanh's argument
-        u = t * t
-        np.subtract(1.0, u, out=u)
-        u *= 0.5
-        u *= x
-        u *= d
-        np.add(1.0, t, out=d)
-        d *= 0.5
-        d += u
-        d *= g
-        _accum(an, d)
+        _accum(an, _gelu_grad(x, t, g))
 
     return _op(out_vals, (an,), bw)
 
 
 # ---------------------------------------------------------------------------
 # normalization / losses
+
+
+def _batch_rows(x, lo, hi):
+    """Entries ``lo:hi`` of an attention operand's batch axis; a [1 x ...]
+    operand, or a mask without a batch axis, serves every entry."""
+    return x if x.ndim < 4 or x.shape[0] == 1 else x[lo:hi]
+
+
+def _score_grad(g, out, w, vh):
+    """The gradient of attention's scores (before the scale) from the output
+    gradient ``g`` [B x Tq x d], the output, the softmax weights [B x h x Tq x
+    Tk] and the value heads: ``(dO V^T - rowsum(dO * O)) * W`` per head."""
+    b, h, tq = w.shape[:3]
+    ds = g.reshape(b, tq, h, -1).swapaxes(1, 2) @ vh.swapaxes(-1, -2)
+    row = np.add.reduce((g * out).reshape(b, tq, h, -1), axis=-1)
+    ds -= row.swapaxes(1, 2)[..., None]  # [B x h x Tq x 1]
+    ds *= w
+    return ds
+
+
+def _attention_halves(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask, scale) -> Tensor:
+    """``attention`` split over the batch, forward and backward.  Keys and
+    values of batch 1, and a mask without a batch axis, serve both halves;
+    the caller accumulates the v, q and k gradients, in that order."""
+    qs, ks = q.values.shape, k.values.shape
+    dh = qs[2] // n_heads
+
+    def heads(x):  # [B x T x d] -> [B x h x T x dh], a view where x allows it
+        return x.reshape(x.shape[0], x.shape[1], n_heads, dh).swapaxes(1, 2)
+
+    qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
+    w, out_vals = np.empty((qs[0], n_heads, qs[1], ks[1])), np.empty(qs)
+    qn, kn, vn = q.node, k.node, v.node
+
+    def fwd(lo, hi):
+        wi = np.matmul(qh[lo:hi], _batch_rows(kh, lo, hi).swapaxes(-1, -2), out=w[lo:hi])
+        wi *= scale
+        if mask is not None:
+            wi += _batch_rows(mask, lo, hi)
+        wi -= np.maximum.reduce(wi, axis=-1, keepdims=True)
+        np.exp(wi, out=wi)
+        wi /= np.add.reduce(wi, axis=-1, keepdims=True)
+        np.matmul(wi, _batch_rows(vh, lo, hi), out=heads(out_vals[lo:hi]))
+
+    def bw(g):
+        kv = (qs[0],) + ks[1:]  # per example, before a batch-1 operand's sum
+        gv = None if vn is None else np.empty(kv)
+        gq = None if qn is None else np.empty(qs)
+        gk = None if kn is None else np.empty(kv)
+
+        def half(lo, hi):
+            wi = w[lo:hi]
+            if gv is not None:
+                np.matmul(wi.swapaxes(-1, -2), heads(g[lo:hi]), out=heads(gv[lo:hi]))
+            if gq is not None or gk is not None:
+                ds = _score_grad(g[lo:hi], out_vals[lo:hi], wi, _batch_rows(vh, lo, hi))
+                if gq is not None:
+                    np.matmul(ds, _batch_rows(kh, lo, hi), out=heads(gq[lo:hi]))
+                    gq[lo:hi] *= scale
+                if gk is not None:
+                    np.matmul(ds.swapaxes(-1, -2), qh[lo:hi], out=heads(gk[lo:hi]))
+                    gk[lo:hi] *= scale
+
+        _split(half, qs[0])
+        for node, grad in ((vn, gv), (qn, gq), (kn, gk)):
+            _accum(node, grad)
+
+    _split(fwd, qs[0])
+    return _op(out_vals, (qn, kn, vn), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -479,6 +763,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          f"{n_heads} heads, got {qs}, {ks}, {v.shape}")
     dh = qs[2] // n_heads
     scale = 1.0 / np.sqrt(dh)
+    if qs[0] * n_heads * qs[1] * ks[1] >= _SPLIT and qs[0] > 1:
+        return _attention_halves(q, k, v, n_heads, mask, scale)
 
     def heads(x):  # [B x T x d] -> [B x h x T x dh], a view where x allows it
         return x.reshape(x.shape[0], x.shape[1], n_heads, dh).swapaxes(1, 2)
@@ -505,10 +791,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         if vn is not None:
             _accum(vn, merged_matmul(w.swapaxes(-1, -2), heads(g)))
         if qn is not None or kn is not None:
-            ds = heads(g) @ vh.swapaxes(-1, -2)
-            row = np.add.reduce((g * out_vals).reshape(qs[0], qs[1], n_heads, dh), axis=-1)
-            ds -= row.swapaxes(1, 2)[..., None]  # [B x h x Tq x 1]
-            ds *= w
+            ds = _score_grad(g, out_vals, w, vh)
             if qn is not None:
                 gq = merged_matmul(ds, kh)
                 gq *= scale
@@ -529,6 +812,25 @@ def _row_mean(v: np.ndarray) -> np.ndarray:
     return m
 
 
+def _layer_norm_halves(x, gain, bias, eps):
+    """``layer_norm``'s normalized rows, inverse deviations and output for
+    ``x``, split over its leading axis."""
+    y, out = np.empty(x.shape), np.empty(x.shape)
+    inv = np.empty(x.shape[:-1] + (1,))
+
+    def half(lo, hi):
+        xi, yi = x[lo:hi], y[lo:hi]
+        np.subtract(xi, _row_mean(xi), out=yi)
+        var = _row_mean(yi * yi)
+        var += eps
+        yi *= np.divide(1.0, np.sqrt(var, out=var), out=inv[lo:hi])
+        np.multiply(yi, gain, out=out[lo:hi])
+        out[lo:hi] += bias
+
+    _split(half, x.shape[0])
+    return y, inv, out
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Zero-mean/unit-variance normalization over last axis, then affine.
     The forward works in place on the op's own temporaries, in the
@@ -538,15 +840,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     gradients match that formulation to rounding, not to the bit."""
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    x = a.values
-    y = x - _row_mean(x)
-    var = _row_mean(y * y)
-    var += eps
-    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
-    y *= inv
-    gv = gain.values
-    out_vals = y * gv
-    out_vals += bias.values
+    x, gv = a.values, gain.values
+    if x.size >= _SPLIT and x.ndim > 1 and x.shape[0] > 1:
+        y, inv, out_vals = _layer_norm_halves(x, gv, bias.values, eps)
+    else:
+        y = x - _row_mean(x)
+        var = _row_mean(y * y)
+        var += eps
+        inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+        y *= inv
+        out_vals = y * gv
+        out_vals += bias.values
     an, gn, bn = a.node, gain.node, bias.node
 
     def bw(g):

@@ -1,9 +1,12 @@
 import math
 import types
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duvlg import autodiff as ad
 from duvlg.autodiff import Tensor
@@ -773,3 +776,106 @@ def test_output_no_backward_reads_is_freed():
         grads.append([t.grad for t in (a, b, c)])
     for kept, dropped in zip(*grads):
         assert kept.tobytes() == dropped.tobytes()
+
+
+# Large ops split their leading axis over two threads (``autodiff._split``).
+# Forced on at every size, each kernel must give the bits of the whole call.
+_EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _split_and_whole(run, min_rows=ad._MIN_ROWS):
+    """``run()`` with every op split (folded products only where each half
+    keeps ``min_rows`` rows), then with no op split."""
+    with mock.patch.object(ad, "_SPLIT", 0), mock.patch.object(ad, "_MIN_ROWS", min_rows):
+        split = run()
+    with mock.patch.object(ad, "_SPLIT", math.inf):
+        whole = run()
+    return split, whole
+
+
+def _assert_same_bits(split, whole):
+    assert len(split) == len(whole)
+    for a, b in zip(split, whole):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _split_attention_cases(draw):
+    b, tq, tk = draw(st.integers(1, 7)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    heads, dh = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kb = draw(st.sampled_from([b, 1]))
+    mask = draw(st.sampled_from([None, "2-D", "batch", "batch 1"]))
+    needs = draw(st.sets(st.sampled_from("qkv"), min_size=1))
+    shared = kb == b and tq == tk and draw(st.booleans())  # one tensor is q, k and v
+    return b, tq, tk, heads, dh, kb, mask, needs, shared, draw(st.integers(0, 2**32 - 1))
+
+
+@_EXACT
+@given(_split_attention_cases())
+def test_split_attention_bitwise_equals_whole(case):
+    b, tq, tk, heads, dh, kb, mask_kind, needs, shared, seed = case
+    rng = np.random.default_rng(seed)
+    d = heads * dh
+    qv, kv, vv = rng.normal(size=(b, tq, d)), rng.normal(size=(kb, tk, d)), rng.normal(size=(kb, tk, d))
+    upstream = rng.normal(size=(b, tq, d))
+    mask = None
+    if mask_kind is not None:
+        masked = rng.random({"2-D": (tq, tk), "batch": (b, 1, 1, tk),
+                             "batch 1": (1, 1, 1, tk)}[mask_kind]) < 0.4
+        masked[..., 0] = False  # every query sees a key
+        mask = np.where(masked, -np.inf, 0.0)
+
+    def run():
+        if shared:
+            q = k = v = Tensor(qv, requires_grad=True)
+        else:
+            q, k, v = (Tensor(x, requires_grad=name in needs)
+                       for name, x in zip("qkv", (qv, kv, vv)))
+        out = ad.attention(q, k, v, heads, mask)
+        ad.backward(ad.mul(out, Tensor(upstream)).sum())
+        return [out.values, q.grad, k.grad, v.grad]
+
+    _assert_same_bits(*_split_and_whole(run))
+
+
+_SHAPES = st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple)
+
+
+@_EXACT
+@given(_SHAPES, st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+def test_split_gelu_and_layer_norm_bitwise_equal_whole(shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    xv, upstream = scale * rng.normal(size=shape), rng.normal(size=shape)
+    gain_v, bias_v = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+
+    def run():
+        x = Tensor(xv, requires_grad=True)
+        gain, bias = Tensor(gain_v, requires_grad=True), Tensor(bias_v, requires_grad=True)
+        g, n = ad.gelu(x), ad.layer_norm(x, gain, bias)
+        ad.backward(ad.add(ad.mul(g, Tensor(upstream)).sum(), ad.mul(n, Tensor(upstream)).sum()))
+        return [g.values, n.values, x.grad, gain.grad, bias.grad]
+
+    _assert_same_bits(*_split_and_whole(run))
+
+
+@_EXACT
+@given(st.lists(st.integers(1, 7), min_size=2, max_size=3).map(tuple),
+       st.integers(1, 8), st.integers(1, 8), st.sampled_from(["linear", "matmul"]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_split_weight_products_bitwise_equal_whole(lead, n, m, op, x_needs_grad, seed):
+    # a folded GEMM cut into row blocks may round differently; the weight's
+    # per-example products and their sum must not, wherever the batch is cut
+    rng = np.random.default_rng(seed)
+    xv, wv, bv = rng.normal(size=lead + (n,)), rng.normal(size=(n, m)), rng.normal(size=m)
+    upstream = rng.normal(size=lead + (m,))
+
+    def run():
+        x = Tensor(xv, requires_grad=x_needs_grad)
+        w, b = Tensor(wv, requires_grad=True), Tensor(bv, requires_grad=True)
+        out = ad.linear(x, w, b) if op == "linear" else ad.matmul(x, w)
+        ad.backward(ad.mul(out, Tensor(upstream)).sum())
+        return [w.grad, b.grad]
+
+    _assert_same_bits(*_split_and_whole(run, min_rows=0))
